@@ -379,8 +379,11 @@ let adversary_perf () =
                         circulant world with the resume loop sharded
                         across 4 domains — 64k live algorithm fibers
                         per round, so the resume phase dominates and
-                        the speedup (on multicore hosts) is what this
-                        entry certifies.
+                        every round clears the resume-shard gate.  No
+                        speedup over the scalar loop has been observed
+                        (DESIGN.md "Sharded resume loop" has the
+                        measured ratios); the entry catches a slowdown
+                        of the sharded path.
      decay-star32       200 directed-decay runs on the 33-node star:
                         the mixed listener/broadcaster batched-idle
                         fast path (leaves park as soon as the centre's
@@ -399,7 +402,6 @@ let resume_perf () =
   let mis ~rounds =
     let cfg =
       R.config ~seed:23 ~stop:(Rn_sim.Engine.At_round rounds) ~resume_shards:4
-        ~resume_kernel:`On
         ~adversary:(Rn_sim.Adversary.bernoulli 0.5)
         ~detector:det dual
     in

@@ -270,8 +270,14 @@ let kind_order =
   ]
 
 let run_trace_inspect file rounds proc top =
-  let content = In_channel.with_open_text file In_channel.input_all in
-  let evs = Events.of_string content in
+  let evs =
+    match Events.of_string (In_channel.with_open_text file In_channel.input_all) with
+    | evs -> evs
+    | exception (Failure msg | Sys_error msg | Rn_util.Sexp.Parse_error { message = msg; _ })
+      ->
+      Printf.eprintf "rn_cli trace inspect: %s: %s\n" file msg;
+      exit 2
+  in
   let evs =
     match rounds with
     | None -> evs
@@ -387,28 +393,28 @@ module Store = Rn_util.Store
    (--metrics) keep that property because each cell's snapshot rides in
    its store payload: a warm sweep reports the metrics recorded when the
    cell was computed. *)
-let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_timeout
-    adv_kernel resume_shards resume_kernel =
+let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_timeout =
+  let ids = if ids = [] then Rn_harness.All.ids else ids in
+  (* Resolve every id before any cell runs: a typo exits 2 up front
+     instead of after the sweep it was listed with. *)
+  let experiments =
+    List.map
+      (fun id ->
+        match Rn_harness.All.find id with
+        | Some f -> f
+        | None ->
+          Printf.eprintf "rn_cli experiment: unknown experiment %s (known: %s)\n" id
+            (String.concat ", " Rn_harness.All.ids);
+          exit 2)
+      ids
+  in
   Rn_harness.Harness.set_jobs jobs;
-  (* The adversary and resume kernels are pure evaluation strategies
-     (byte-identical results at any setting), so overrides are safe to
-     apply globally — they cannot invalidate cached cells. *)
-  Rn_sim.Engine.set_default_adv_kernel
-    (kernel_mode_of_string ~flag:"--adv-kernel" adv_kernel);
-  if resume_shards < 1 then begin
-    Printf.eprintf "rn_cli experiment: --resume-shards must be >= 1\n";
-    exit 2
-  end;
-  Rn_sim.Engine.set_default_resume_shards resume_shards;
-  Rn_sim.Engine.set_default_resume_kernel
-    (kernel_mode_of_string ~flag:"--resume-kernel" resume_kernel);
   if profile then Rn_util.Timing.set_enabled true;
   if metrics then begin
     Rn_util.Metrics.set_enabled true;
     Rn_harness.Harness.reset_experiment_metrics ()
   end;
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
-  let ids = if ids = [] then Rn_harness.All.ids else ids in
   let store =
     if no_cache then None
     else begin
@@ -422,21 +428,15 @@ let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_
   in
   let any_failed = ref false in
   List.iter
-    (fun id ->
-      match Rn_harness.All.find id with
-      | Some f -> begin
-        match f scale with
-        | r -> Rn_harness.Harness.print r
-        | exception Rn_harness.Harness.Cell_failed { exp; failed; total } ->
-          any_failed := true;
-          Printf.eprintf
-            "[store] %s: %d/%d cells failed; finished cells are cached, re-run to retry\n%!"
-            exp failed total
-      end
-      | None ->
-        Printf.eprintf "unknown experiment %s (known: %s)\n" id
-          (String.concat ", " Rn_harness.All.ids))
-    ids;
+    (fun f ->
+      match f scale with
+      | r -> Rn_harness.Harness.print r
+      | exception Rn_harness.Harness.Cell_failed { exp; failed; total } ->
+        any_failed := true;
+        Printf.eprintf
+          "[store] %s: %d/%d cells failed; finished cells are cached, re-run to retry\n%!"
+          exp failed total)
+    experiments;
   (match store with
   | Some s ->
     let hits, misses, failures = Rn_harness.Harness.store_counters () in
@@ -525,39 +525,12 @@ let cell_timeout_arg =
           "Per-cell wall-clock budget: a cell that reaches it is recorded as \
            failed-but-resumable and the rest of the sweep still runs (and caches).")
 
-let exp_adv_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "adv-kernel" ] ~docv:"MODE"
-        ~doc:
-          "Adversary kernel mode for every cell: auto, on, or off. Pure evaluation \
-           strategy — tables are byte-identical for every value (and compatible with \
-           cached cells).")
-
-let exp_resume_shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "resume-shards" ] ~docv:"N"
-        ~doc:
-          "Shard each round's fiber resume loop across N domains for every cell. \
-           Pure evaluation strategy — tables are byte-identical at any value (and \
-           compatible with cached cells).")
-
-let exp_resume_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "resume-kernel" ] ~docv:"MODE"
-        ~doc:
-          "Resume kernel mode for every cell: auto (live-fiber cost model), on, or \
-           off (scalar path). Byte-identical for every value.")
-
 let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper's experiment tables (see DESIGN.md).")
     Term.(
       const run_experiments $ ids_arg $ full_arg $ jobs_arg $ profile_arg $ metrics_arg
-      $ store_arg $ no_cache_arg $ retry_arg $ cell_timeout_arg $ exp_adv_kernel_arg
-      $ exp_resume_shards_arg $ exp_resume_kernel_arg)
+      $ store_arg $ no_cache_arg $ retry_arg $ cell_timeout_arg)
 
 (* --- store command --- *)
 
@@ -772,8 +745,7 @@ let figures_cmd =
 
 (* --- scale command --- *)
 
-let run_scale full out sizes shards kernel adv_kernel resume_shards resume_kernel adversary
-    check =
+let run_scale full out sizes shards kernel adv_kernel resume_shards adversary check =
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
   if shards < 1 then begin
     Printf.eprintf "rn_cli scale: --shards must be >= 1\n";
@@ -785,7 +757,6 @@ let run_scale full out sizes shards kernel adv_kernel resume_shards resume_kerne
   end;
   let kernel = kernel_mode_of_string ~flag:"--kernel" kernel in
   let adv_kernel = kernel_mode_of_string ~flag:"--adv-kernel" adv_kernel in
-  let resume_kernel = kernel_mode_of_string ~flag:"--resume-kernel" resume_kernel in
   let sizes =
     match sizes with
     | None -> None
@@ -805,7 +776,7 @@ let run_scale full out sizes shards kernel adv_kernel resume_shards resume_kerne
   in
   Rn_harness.Harness.print
     (Rn_harness.Exp_scale.run ?out ?sizes ~shards ~kernel ~adv_kernel ~resume_shards
-       ~resume_kernel ~adversary ~check scale)
+       ~adversary ~check scale)
 
 let scale_out_arg =
   Arg.(
@@ -847,17 +818,8 @@ let scale_resume_shards_arg =
     value & opt int 1
     & info [ "resume-shards" ] ~docv:"N"
         ~doc:
-          "Shard each round's fiber resume loop across N domains. Results are \
-           byte-identical at any shard count.")
-
-let scale_resume_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "resume-kernel" ] ~docv:"MODE"
-        ~doc:
-          "Resume kernel mode: auto (live-fiber cost model), on (forced whenever \
-           resume-shards > 1), or off (scalar path). Results are byte-identical \
-           either way.")
+          "Shard the fiber resume loop across N domains in every round with at least \
+           1024 live fibers. Results are byte-identical at any shard count.")
 
 let scale_adversary_arg =
   Arg.(
@@ -887,7 +849,7 @@ let scale_cmd =
     Term.(
       const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg $ scale_shards_arg
       $ scale_kernel_arg $ scale_adv_kernel_arg $ scale_resume_shards_arg
-      $ scale_resume_kernel_arg $ scale_adversary_arg $ scale_check_arg)
+      $ scale_adversary_arg $ scale_check_arg)
 
 (* --- graph command --- *)
 

@@ -15,7 +15,7 @@
    million nodes).  [--shards N] shards each round's delivery across N
    Pool domains, [--resume-shards N] likewise shards the fiber resume
    loop; [--check] prints only the deterministic columns (counts, no
-   timings), which is what lets scripts/shard_smoke.sh byte-compare
+   timings), which is what lets scripts/strategy_smoke.sh byte-compare
    tables across shard counts and kernel modes. *)
 
 module Rng = Rn_util.Rng
@@ -77,7 +77,7 @@ type row = {
    traffic constant as n grows (throughput is then work-bound, not
    contention-bound). *)
 let measure ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel = `Auto) ?(resume_shards = 1)
-    ?(resume_kernel = `Auto) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n =
+    ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n =
   let t0 = Timing.now () in
   let dual = geometric ~seed:(0x5CA1E + n) ~n ~degree:(degree_for n) () in
   let gen_s = Timing.now () -. t0 in
@@ -99,8 +99,7 @@ let measure ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel = `Auto) ?(resume_shard
     let cfg =
       E.config ~seed:(n lxor 0x5EED)
         ~stop:(Rn_sim.Engine.At_round beacon_rounds)
-        ~adversary ~observer ~kernel ~shards ~adv_kernel ~resume_shards ~resume_kernel
-        ~detector:det dual
+        ~adversary ~observer ~kernel ~shards ~adv_kernel ~resume_shards ~detector:det dual
     in
     E.run cfg (fun ctx ->
         let me = E.me ctx in
@@ -157,12 +156,12 @@ let figure rows =
    [?check] renders only the deterministic columns so tables can be
    byte-compared across strategies. *)
 let run ?out ?sizes:sizes_override ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel = `Auto)
-    ?(resume_shards = 1) ?(resume_kernel = `Auto) ?adversary ?(check = false) scale =
+    ?(resume_shards = 1) ?adversary ?(check = false) scale =
   let grid = match sizes_override with Some l -> l | None -> sizes scale in
   let rows =
     List.map
       (fun n ->
-        let r = measure ~shards ~kernel ~adv_kernel ~resume_shards ~resume_kernel ?adversary n in
+        let r = measure ~shards ~kernel ~adv_kernel ~resume_shards ?adversary n in
         (* between points: retire the previous world before building the
            next, so peak RSS holds one world, not two *)
         Gc.full_major ();

@@ -429,11 +429,14 @@ let success_rate oks =
 (* Mean of int samples as float. *)
 let mean_int xs = Stats.mean (Stats.of_ints (Array.of_list xs))
 
-(* Fit note helpers. *)
-let note_polylog ~what xs ys =
-  let p, r2 = Fit.polylog_exponent (Array.of_list xs) (Array.of_list ys) in
-  Printf.sprintf "%s ~ (log n)^%.2f (r2=%.3f)" what p r2
+(* Fit note helpers.  A fit needs two distinct sizes; a sweep over one
+   size (e.g. [rn_cli scale --sizes 1024]) gets a note saying so. *)
+let fit_note ~what fit shape xs ys =
+  if List.length (List.sort_uniq compare xs) < 2 then
+    Printf.sprintf "%s: fit needs ≥ 2 sizes" what
+  else
+    let p, r2 = fit (Array.of_list xs) (Array.of_list ys) in
+    Printf.sprintf "%s ~ %s^%.2f (r2=%.3f)" what shape p r2
 
-let note_power ~what xs ys =
-  let p, r2 = Fit.power_law (Array.of_list xs) (Array.of_list ys) in
-  Printf.sprintf "%s ~ x^%.2f (r2=%.3f)" what p r2
+let note_polylog ~what xs ys = fit_note ~what Fit.polylog_exponent "(log n)" xs ys
+let note_power ~what xs ys = fit_note ~what Fit.power_law "x" xs ys

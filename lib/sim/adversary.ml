@@ -36,7 +36,7 @@
      binary search per edge).
 
    A kernel must produce bit-for-bit the activation set of its scalar
-   [choose] (certified by test_adversary_kernel.ml), which is what lets
+   [choose] (certified by test_engine_equiv.ml), which is what lets
    the engine switch per round on a cost model.  With [shards > 1] the
    scratch carries private per-shard accumulators and a runner supplied
    by the engine's Pool; contributions are merged in fixed shard order

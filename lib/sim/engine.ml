@@ -105,31 +105,9 @@ type stats = {
 let semantics_version = 3
 let semantics_digest = Printf.sprintf "eng%d" semantics_version
 
-(* Process-wide default for [config]'s [?adv_kernel], so front-ends that
-   share one functor instantiation across every algorithm (the experiment
-   harness) can still plumb a CLI override through.  Safe to vary freely:
-   the adversary kernel is a pure evaluation strategy — any setting
-   produces byte-identical runs. *)
-let default_adv_kernel : [ `Auto | `On | `Off ] Atomic.t = Atomic.make `Auto
-
-let set_default_adv_kernel k = Atomic.set default_adv_kernel k
-let get_default_adv_kernel () = Atomic.get default_adv_kernel
-
-(* Same plumbing for the resume-phase sharding ([config]'s
-   [?resume_shards]/[?resume_kernel]): the sharded resume is a pure
-   evaluation strategy (per-process RNG streams are independently derived
-   and a fiber's step reads only its own receive slot), so a process-wide
-   override is safe and cannot invalidate cached results. *)
-let default_resume_shards : int Atomic.t = Atomic.make 1
-let set_default_resume_shards s = Atomic.set default_resume_shards (max 1 s)
-let get_default_resume_shards () = Atomic.get default_resume_shards
-let default_resume_kernel : [ `Auto | `On | `Off ] Atomic.t = Atomic.make `Auto
-let set_default_resume_kernel k = Atomic.set default_resume_kernel k
-let get_default_resume_kernel () = Atomic.get default_resume_kernel
-
-(* Under [`Auto], a round's resume phase shards only when at least this
-   many fibers await their receive: below it, the Pool dispatch and merge
-   cost more than stepping the fibers on one domain. *)
+(* A round's resume phase shards only when at least this many fibers
+   await their receive: below it, the Pool dispatch and merge cost more
+   than stepping the fibers on one domain. *)
 let resume_auto_threshold = 1024
 
 (* Private per-shard collection buffers for the sharded resume phase: a
@@ -194,38 +172,25 @@ module Make (M : MESSAGE) = struct
            Results are byte-identical at any setting (certified by
            test_adversary_kernel). *)
     resume_shards : int;
-        (* resume-phase sharding: with [resume_shards > 1] (and
-           [resume_kernel] not [`Off], no sink), each round's work list —
-           the synced fibers in worklist order, then the idlers due this
-           round in heap-pop order — is partitioned into contiguous
-           slices stepped in parallel on Pool domains.  Each shard
-           collects its joins / idle-parkings / finish and decide counts
-           into a private buffer; the main domain merges the buffers in
-           ascending shard order.  Pure evaluation strategy — results
-           are byte-identical at any shard count (test_resume_shard). *)
-    resume_kernel : [ `Auto | `On | `Off ];
-        (* gates the sharded resume: `Auto shards a round only when the
-           live-fiber count clears [resume_auto_threshold] (Pool
-           dispatch has a fixed cost), `On shards every round, `Off
-           never shards.  A sink forces the scalar path, like the other
-           kernels (the scalar step emits Decide events in step order). *)
+        (* resume-phase sharding: with [resume_shards > 1] (and no sink),
+           each round whose live-fiber count clears
+           [resume_auto_threshold] cuts its work list — the synced fibers
+           in worklist order, then the idlers due this round in heap-pop
+           order — into contiguous slices stepped in parallel on Pool
+           domains.  Each shard collects its joins / idle-parkings /
+           finish and decide counts into a private buffer; the main
+           domain merges the buffers in ascending shard order.  Pure
+           evaluation strategy — results are byte-identical at any shard
+           count (test_resume_shard).  A sink forces the scalar path (the
+           scalar step emits Decide events in step order). *)
   }
 
   let config ?(adversary = Adversary.silent) ?(seed = 0) ?b_bits ?(delta_bound = 0)
       ?wake ?(stop = All_done) ?(max_rounds = 2_000_000) ?observer ?sink
-      ?(kernel = `Auto) ?(shards = 1) ?adv_kernel ?resume_shards ?resume_kernel
-      ~detector dual =
+      ?(kernel = `Auto) ?(shards = 1) ?(adv_kernel = `Auto) ?(resume_shards = 1) ~detector
+      dual =
     if shards < 1 then invalid_arg "Engine.config: shards < 1";
-    let adv_kernel =
-      match adv_kernel with Some k -> k | None -> Atomic.get default_adv_kernel
-    in
-    let resume_shards =
-      match resume_shards with Some s -> s | None -> Atomic.get default_resume_shards
-    in
     if resume_shards < 1 then invalid_arg "Engine.config: resume_shards < 1";
-    let resume_kernel =
-      match resume_kernel with Some k -> k | None -> Atomic.get default_resume_kernel
-    in
     (* No explicit sink: fall back to the process-wide ambient sink (the
        trace-on-demand hook).  Resolved here, once per config, so every
        consumer of [cfg.sink] sees the same decision. *)
@@ -249,7 +214,6 @@ module Make (M : MESSAGE) = struct
       shards;
       adv_kernel;
       resume_shards;
-      resume_kernel;
     }
 
   type ctx = {
@@ -366,9 +330,7 @@ module Make (M : MESSAGE) = struct
        cleared after the merge, so the wake phase and the scalar path never
        see one.  A sink forces the scalar step (Decide events must come out
        in step order), like the delivery and adversary kernels. *)
-    let resume_shards =
-      if tracing || cfg.resume_kernel = `Off then 1 else cfg.resume_shards
-    in
+    let resume_shards = if tracing then 1 else cfg.resume_shards in
     let resume_assign = Array.make (max 1 nn) (-1) in
     let resume_bufs : resume_buf array ref = ref [||] in
     let mk_ctx v =
@@ -562,12 +524,10 @@ module Make (M : MESSAGE) = struct
     let shard_twice =
       if shards > 1 then Array.init shards (fun _ -> Bitset.create nn) else [||]
     in
-    let shard_ids = List.init shards Fun.id in
     (* The adversary kernel gates its sharding independently (it can run
        sharded under [kernel = `Off], and vice versa); the Pool is shared
        and sized for whichever path needs more domains. *)
     let adv_shards = if tracing || cfg.adv_kernel = `Off then 1 else cfg.shards in
-    let adv_shard_ids = List.init adv_shards Fun.id in
     let pool = ref None in
     let get_pool () =
       match !pool with
@@ -610,7 +570,7 @@ module Make (M : MESSAGE) = struct
       | None ->
         let run_shards =
           if adv_shards > 1 then
-            Some (fun f -> ignore (Pool.run (get_pool ()) f adv_shard_ids))
+            Some (fun f -> Pool.run_n (get_pool ()) f adv_shards)
           else None
         in
         let s = Adversary.make_scratch ~shards:adv_shards ?run_shards dual in
@@ -798,8 +758,8 @@ module Make (M : MESSAGE) = struct
                 kernel on dense ones.  The kernel is only a faster
                 evaluation of the same collision rule — counts and
                 receives are identical by construction (certified by
-                test_kernel and test_engine_equiv) — but it cannot emit
-                per-receiver events, so a sink forces the scalar path. *)
+                test_engine_equiv) — but it cannot emit per-receiver
+                events, so a sink forces the scalar path. *)
              p_start ();
              let use_kernel =
                (not tracing)
@@ -830,25 +790,21 @@ module Make (M : MESSAGE) = struct
                   scalar, and reference paths by test_shard. *)
                if met then Metrics.incr m_sharded_rounds;
                let nb = !n_bcast in
-               ignore
-                 (Pool.run (get_pool ())
-                    (fun s ->
-                      let once = shard_once.(s) and twice = shard_twice.(s) in
-                      Bitset.clear once;
-                      Bitset.clear twice;
-                      for i = s * nb / shards to (((s + 1) * nb) / shards) - 1 do
-                        let u = broadcasters.(i) in
-                        Graph.iter_neighbors
-                          (fun v -> Bitset.acc2_add ~once ~twice v)
-                          g u;
-                        if Dual.gray_degree dual u > 0 then
-                          Dual.iter_gray_adj
-                            (fun v e ->
-                              if Bitset.mem gray_active e then
-                                Bitset.acc2_add ~once ~twice v)
-                            dual u
-                      done)
-                    shard_ids);
+               Pool.run_n (get_pool ())
+                 (fun s ->
+                   let once = shard_once.(s) and twice = shard_twice.(s) in
+                   Bitset.clear once;
+                   Bitset.clear twice;
+                   for i = s * nb / shards to (((s + 1) * nb) / shards) - 1 do
+                     let u = broadcasters.(i) in
+                     Graph.iter_neighbors (fun v -> Bitset.acc2_add ~once ~twice v) g u;
+                     if Dual.gray_degree dual u > 0 then
+                       Dual.iter_gray_adj
+                         (fun v e ->
+                           if Bitset.mem gray_active e then Bitset.acc2_add ~once ~twice v)
+                         dual u
+                   done)
+                 shards;
                Bitset.clear k_once;
                Bitset.clear k_twice;
                for s = 0 to shards - 1 do
@@ -963,16 +919,10 @@ module Make (M : MESSAGE) = struct
            p_start ();
            idle_base := r + 1;
            n_joining := 0;
+           (* Pool dispatch + merge are a fixed per-round cost; only
+              rounds with enough fibers to step amortise it. *)
            let use_resume_shards =
-             resume_shards > 1
-             &&
-             match cfg.resume_kernel with
-             | `Off -> false
-             | `On -> true
-             | `Auto ->
-               (* Pool dispatch + merge are a fixed per-round cost; only
-                  rounds with enough fibers to step amortise it. *)
-               !n_active >= resume_auto_threshold
+             resume_shards > 1 && !n_active >= resume_auto_threshold
            in
            if use_resume_shards then begin
              (* Sharded resume: fix the work list up front — the synced

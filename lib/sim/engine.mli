@@ -40,27 +40,6 @@ val semantics_version : int
     under different engine semantics never collide. *)
 val semantics_digest : string
 
-(** Process-wide default for {!Make.config}'s [?adv_kernel], for
-    front-ends that share one functor instantiation across algorithms
-    and want to plumb a CLI override through.  Any setting yields
-    byte-identical runs (the adversary kernel is a pure evaluation
-    strategy), so changing it never invalidates cached results. *)
-val set_default_adv_kernel : [ `Auto | `On | `Off ] -> unit
-
-val get_default_adv_kernel : unit -> [ `Auto | `On | `Off ]
-
-(** Process-wide defaults for {!Make.config}'s [?resume_shards] and
-    [?resume_kernel], mirroring {!set_default_adv_kernel}: the sharded
-    resume phase is a pure evaluation strategy (byte-identical results
-    at any shard count), so a CLI override applied through the shared
-    functor instantiation never invalidates cached results.  Values
-    below 1 are clamped to 1. *)
-val set_default_resume_shards : int -> unit
-
-val get_default_resume_shards : unit -> int
-val set_default_resume_kernel : [ `Auto | `On | `Off ] -> unit
-val get_default_resume_kernel : unit -> [ `Auto | `On | `Off ]
-
 module Make (M : MESSAGE) : sig
   (** What a process sees at the end of a round: its own broadcast, silence
       (zero or ≥ 2 reachable broadcasters — indistinguishable), or a
@@ -118,13 +97,13 @@ module Make (M : MESSAGE) : sig
             randomised policies always run scalar (their draw sequence
             is the semantics).  Shares [shards] and the Pool with
             delivery.  Pure evaluation strategy — byte-identical results
-            at any setting; defaults to {!set_default_adv_kernel}'s
-            value ([`Auto] initially). *)
+            at any setting. *)
     resume_shards : int;
         (** resume-phase sharding (≥ 1).  With [resume_shards > 1] (and
-            [resume_kernel] not [`Off], no [sink]), each round's fiber
-            work list — the synced fibers in worklist order, then the
-            idlers due this round in heap-pop order — is cut into
+            no [sink]), each round in which at least 1024 fibers await
+            their receive — enough to amortise the Pool dispatch — cuts
+            its fiber work list (the synced fibers in worklist order,
+            then the idlers due this round in heap-pop order) into
             contiguous slices stepped in parallel on {!Rn_util.Pool}
             domains (OCaml 5 continuations are not domain-pinned).
             Every shard collects its broadcast intents, idle-parkings,
@@ -134,22 +113,16 @@ module Make (M : MESSAGE) : sig
             derived independently from the seed and a step reads only
             its own receive slot — so the broadcaster set, wake buckets,
             idle heap, and every downstream adversary and delivery
-            decision are byte-identical at any shard count.  Pure
-            evaluation strategy, like [kernel] and [shards]; defaults to
-            {!set_default_resume_shards}'s value (1 initially). *)
-    resume_kernel : [ `Auto | `On | `Off ];
-        (** gates the sharded resume: [`Auto] shards a round only when
-            enough fibers await their receive to amortise the Pool
-            dispatch (a live-fiber-count cost model), [`On] shards every
-            round, [`Off] never shards.  An attached [sink] forces the
-            scalar step (Decide events must be emitted in step order).
-            Defaults to {!set_default_resume_kernel}'s value ([`Auto]
-            initially). *)
+            decision are byte-identical at any shard count.  An attached
+            [sink] forces the scalar step (Decide events must be emitted
+            in step order).  Pure evaluation strategy, like [kernel] and
+            [shards]. *)
   }
 
   (** Build a config with sensible defaults: silent adversary, seed 0,
       [delta_bound] defaulting to the true max degree of [G], synchronous
-      wake-up, stop at [All_done], 2M-round safety cap, no tracing. *)
+      wake-up, stop at [All_done], 2M-round safety cap, no tracing, both
+      kernels [`Auto], one delivery shard and one resume shard. *)
   val config :
     ?adversary:Adversary.t ->
     ?seed:int ->
@@ -164,7 +137,6 @@ module Make (M : MESSAGE) : sig
     ?shards:int ->
     ?adv_kernel:[ `Auto | `On | `Off ] ->
     ?resume_shards:int ->
-    ?resume_kernel:[ `Auto | `On | `Off ] ->
     detector:Rn_detect.Detector.dynamic ->
     Rn_graph.Dual.t ->
     config

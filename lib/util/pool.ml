@@ -2,14 +2,14 @@
 
    Work items are closures in a queue guarded by a mutex; workers block on
    a condition variable when the queue is empty and exit once the pool is
-   closed and drained.  Batches ([run]) track their own completion with a
-   second mutex/condition pair, so several batches could share one pool.
+   closed and drained.  Batches ([run_n]) track their own completion with
+   a second mutex/condition pair, so several batches could share one pool.
 
    The design constraint that matters here is determinism: the harness
    promises that parallel and sequential sweeps produce identical tables,
-   so the pool must not introduce any ordering dependence.  [map]/[run]
-   write each cell's result into its input slot and only the *scheduling*
-   is racy; and [~jobs:1] short-circuits to [List.map] before any domain
+   so the pool must not introduce any ordering dependence.  [map] writes
+   each cell's result into its input slot and only the *scheduling* is
+   racy; and [~jobs:1] short-circuits to [List.map] before any domain
    machinery is touched. *)
 
 let recommended_jobs ?(cap = 16) () =
@@ -75,53 +75,9 @@ type batch = {
   mutable b_error : (exn * Printexc.raw_backtrace) option;
 }
 
-let run t f xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let input = Array.of_list xs in
-    let n = Array.length input in
-    let results = Array.make n None in
-    let b =
-      { b_mutex = Mutex.create (); b_done = Condition.create (); b_pending = n; b_error = None }
-    in
-    let task i () =
-      let abandoned = Mutex.protect b.b_mutex (fun () -> b.b_error <> None) in
-      (if not abandoned then
-         match f input.(i) with
-         | v -> results.(i) <- Some v
-         | exception e ->
-           let bt = Printexc.get_raw_backtrace () in
-           Mutex.protect b.b_mutex (fun () ->
-               if b.b_error = None then b.b_error <- Some (e, bt)));
-      Mutex.protect b.b_mutex (fun () ->
-          b.b_pending <- b.b_pending - 1;
-          if b.b_pending = 0 then Condition.broadcast b.b_done)
-    in
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run: pool is shut down"
-    end;
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.queue
-    done;
-    Condition.broadcast t.has_work;
-    Mutex.unlock t.mutex;
-    Mutex.lock b.b_mutex;
-    while b.b_pending > 0 do
-      Condition.wait b.b_done b.b_mutex
-    done;
-    Mutex.unlock b.b_mutex;
-    (match b.b_error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list (Array.map (function Some v -> v | None -> assert false) results)
-
-(* [run_n t f n]: [run] specialised to the engine's pinned contiguous
-   slices — apply [f] to each index 0..n-1 on the workers and block to
-   completion, without building an id list or collecting results.  Same
-   first-exception contract as [run]. *)
+(* [run_n t f n]: apply [f] to each index 0..n-1 on the workers and
+   block to completion.  Once a task raises, tasks not yet started are
+   abandoned and the first exception is re-raised with its backtrace. *)
 let run_n t f n =
   if n = 1 then f 0
   else if n > 1 then begin
@@ -168,5 +124,11 @@ let map ~jobs f xs =
     | [] -> []
     | [ x ] -> [ f x ]
     | _ ->
-      let t = create ~jobs:(min jobs (List.length xs)) in
-      Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run t f xs)
+      let input = Array.of_list xs in
+      let n = Array.length input in
+      let results = Array.make n None in
+      let t = create ~jobs:(min jobs n) in
+      Fun.protect
+        ~finally:(fun () -> shutdown t)
+        (fun () -> run_n t (fun i -> results.(i) <- Some (f input.(i))) n);
+      Array.to_list (Array.map Option.get results)

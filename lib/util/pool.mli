@@ -32,18 +32,14 @@ val create : jobs:int -> t
 (** Number of worker domains. *)
 val size : t -> int
 
-(** [run t f xs] is [map] executed on [t]'s workers: order-preserving,
-    first-exception-propagating.  The calling domain blocks until the
-    batch completes.  Raises [Invalid_argument] after [shutdown]. *)
-val run : t -> ('a -> 'b) -> 'a list -> 'b list
-
 (** [run_n t f n] applies [f] to every index [0 .. n-1] on [t]'s workers
-    and blocks until the batch completes: {!run} specialised to the
-    pinned contiguous slices of the engine's sharded phases — no id
-    list, no result collection.  The first worker exception is re-raised
-    with its backtrace; the batch-completion mutex gives the caller a
+    and blocks until the batch completes: the engine's sharded phases
+    hand it one pinned contiguous slice per index.  The first worker
+    exception is re-raised with its backtrace (tasks not yet started are
+    abandoned); the batch-completion mutex gives the caller a
     happens-before edge over every write the workers made.  [n = 1] runs
-    [f 0] on the calling domain; [n <= 0] is a no-op. *)
+    [f 0] on the calling domain; [n <= 0] is a no-op.  Raises
+    [Invalid_argument] after [shutdown]. *)
 val run_n : t -> (int -> unit) -> int -> unit
 
 (** Finish the queued work, stop the workers, and join their domains.

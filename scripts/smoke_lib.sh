@@ -1,5 +1,5 @@
-# Shared helpers for the smoke scripts (store_smoke, shard_smoke,
-# adv_smoke, serve_smoke).  POSIX sh; source it after setting
+# Shared helpers for the smoke scripts (store_smoke, strategy_smoke,
+# serve_smoke).  POSIX sh; source it after setting
 # SMOKE_NAME:
 #
 #   SMOKE_NAME=store_smoke

@@ -1,131 +1,17 @@
-(* Differential tests for the engine hot-path rework: [Engine.run] (live
-   worklist, wake buckets, idle parking, silent-round fast-forward, cached
-   detectors, per-round adversary derivation) must agree *exactly* — same
-   [outputs], [returns], [rounds], [decided_round], [stats], [timed_out] —
-   with [Engine.run_reference], the straightforward full-scan loop, across
-   random graphs, seeds, wake schedules, adversaries, stop conditions and
-   bodies (scripted send/listen/idle mixes, MIS, TDMA/CCDS, flooding).
+(* Differential tests for the engine: [Engine.run] (live worklist, wake
+   buckets, idle parking, silent-round fast-forward, cached detectors,
+   per-round adversary derivation) must agree *exactly* — same
+   [outputs], [returns], [rounds], [decided_round], [stats],
+   [timed_out] — with [Engine.run_reference], the straightforward
+   full-scan loop, across random graphs, seeds, wake schedules,
+   adversaries, stop conditions and bodies (scripted send/listen/idle
+   mixes, MIS, TDMA/CCDS, flooding).  The delivery kernel is certified
+   here too; the other evaluation strategies have their own suites over
+   the same scaffolding ([Equiv]). *)
 
-   Since results are records of arrays/options/ints, whole-result
-   structural equality is the comparison. *)
+open Equiv
 
-module Graph = Rn_graph.Graph
-module Dual = Rn_graph.Dual
-module Gen = Rn_graph.Gen
-module Detector = Rn_detect.Detector
-module Adversary = Rn_sim.Adversary
-module Rng = Rn_util.Rng
-module R = Core.Radio
-
-let qtest = QCheck_alcotest.to_alcotest
-
-module M = struct
-  type t = int
-
-  let size_bits ~n:_ _ = 16
-  let pp = Fmt.int
-end
-
-module E = Rn_sim.Engine.Make (M)
-
-let adversaries =
-  [|
-    ("silent", Adversary.silent);
-    ("all_gray", Adversary.all_gray);
-    ("bernoulli 0.5", Adversary.bernoulli 0.5);
-    ("bernoulli 0.9", Adversary.bernoulli 0.9);
-    ("harassing 0.7", Adversary.harassing 0.7);
-    ("spiteful", Adversary.spiteful);
-    ("jamming", Adversary.jamming);
-  |]
-
-(* Random dual graph: each pair becomes reliable, gray, or absent. *)
-let build_dual n gseed =
-  let rng = Rng.create gseed in
-  let es = ref [] and grays = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let r = Rng.int rng 10 in
-      if r < 4 then es := (u, v) :: !es else if r < 7 then grays := (u, v) :: !grays
-    done
-  done;
-  Dual.make ~g:(Graph.of_edges n !es) ~gray:!grays ()
-
-type scenario = {
-  dual : Dual.t;
-  adv_name : string;
-  adv : Adversary.t;
-  wake : int array option;
-  stop : Rn_sim.Engine.stop_condition;
-  seed : int;
-  max_rounds : int;
-}
-
-let scenario_of ~max_wake ~max_rounds case_seed =
-  let rng = Rng.create (0xE0_1AB + case_seed) in
-  let n = 2 + Rng.int rng 8 in
-  let dual = build_dual n (Rng.bits rng) in
-  let adv_name, adv = adversaries.(Rng.int rng (Array.length adversaries)) in
-  let wake =
-    if Rng.bool rng 0.4 then None
-    else Some (Array.init n (fun _ -> 1 + Rng.int rng max_wake))
-  in
-  let stop =
-    if Rng.bool rng 0.5 then Rn_sim.Engine.All_done
-    else Rn_sim.Engine.At_round (5 + Rng.int rng 80)
-  in
-  { dual; adv_name; adv; wake; stop; seed = Rng.int rng 10_000; max_rounds }
-
-let pp_scenario s =
-  Printf.sprintf "n=%d adv=%s wake=%s stop=%s seed=%d"
-    (Dual.n s.dual) s.adv_name
-    (match s.wake with
-    | None -> "sync"
-    | Some w -> String.concat "," (List.map string_of_int (Array.to_list w)))
-    (match s.stop with
-    | Rn_sim.Engine.All_done -> "all_done"
-    | Rn_sim.Engine.All_decided -> "all_decided"
-    | Rn_sim.Engine.At_round r -> Printf.sprintf "at_round %d" r)
-    s.seed
-
-let config_of s =
-  let det = Detector.static (Detector.perfect (Dual.g s.dual)) in
-  E.config ~adversary:s.adv ~seed:s.seed ?wake:s.wake ~stop:s.stop
-    ~max_rounds:s.max_rounds ~detector:det s.dual
-
-(* A scripted body drawing its actions from the process RNG: broadcast,
-   listen, batched idle, decide.  With [unroll_idle] the idle stretch is
-   replaced by the equivalent sequence of silent syncs, which must not
-   change anything observable. *)
-let random_body ?(unroll_idle = false) ~steps ~max_idle ctx =
-  let rng = E.rng ctx in
-  let me = E.me ctx in
-  let log = ref [] in
-  let decided = ref false in
-  let note = function
-    | E.Recv m -> log := m :: !log
-    | E.Own -> log := -1 :: !log
-    | E.Silence -> ()
-  in
-  for _ = 1 to steps do
-    match Rng.int rng 6 with
-    | 0 | 1 -> note (E.sync ctx (Some me))
-    | 2 | 3 -> note (E.sync ctx None)
-    | 4 ->
-      let k = 1 + Rng.int rng max_idle in
-      if unroll_idle then
-        for _ = 1 to k do
-          ignore (E.sync ctx None)
-        done
-      else E.idle ctx k
-    | _ ->
-      if (not !decided) && Rng.int rng 3 = 0 then begin
-        decided := true;
-        E.output ctx (Rng.int rng 2)
-      end;
-      note (E.sync ctx None)
-  done;
-  (!log, E.round ctx)
+(* --- whole-run differentials ------------------------------------------- *)
 
 let prop_random_bodies =
   QCheck.Test.make ~name:"run = run_reference (random send/listen/idle bodies)" ~count:150
@@ -150,7 +36,7 @@ let prop_fast_forward =
     QCheck.(small_nat)
     (fun case ->
       let s = scenario_of ~max_wake:400 ~max_rounds:3_000 case in
-      let s = if s.stop = Rn_sim.Engine.All_done then s else { s with stop = Rn_sim.Engine.All_done } in
+      let s = { s with stop = Rn_sim.Engine.All_done } in
       let cfg = config_of s in
       let body ctx =
         let rng = E.rng ctx in
@@ -202,23 +88,13 @@ let prop_flood =
       if fast <> oracle then QCheck.Test.fail_reportf "flood mismatch: %s" (pp_scenario s);
       true)
 
-(* The real algorithm bodies, through the shared Radio instantiation. *)
-let radio_config s ~stop =
-  let det = Detector.static (Detector.perfect (Dual.g s.dual)) in
-  R.config ~adversary:s.adv ~seed:s.seed ~stop ~max_rounds:s.max_rounds ~detector:det s.dual
-
 let prop_mis =
   QCheck.Test.make ~name:"run = run_reference (MIS body)" ~count:25 QCheck.(small_nat)
     (fun case ->
       let s = scenario_of ~max_wake:1 ~max_rounds:100_000 case in
-      let s = { s with wake = None } in
-      let params = Core.Params.default in
-      let n = Dual.n s.dual in
-      let stop = R.At_round (Core.Mis.schedule_rounds params ~n) in
-      let cfg = radio_config s ~stop in
-      let body ctx = Core.Mis.body params ctx in
-      let fast = R.run cfg body in
-      let oracle = R.run_reference cfg body in
+      let cfg = radio_config s ~stop:(mis_stop s) in
+      let fast = R.run cfg mis_body in
+      let oracle = R.run_reference cfg mis_body in
       if fast <> oracle then QCheck.Test.fail_reportf "MIS mismatch: %s" (pp_scenario s);
       true)
 
@@ -226,22 +102,37 @@ let prop_tdma =
   QCheck.Test.make ~name:"run = run_reference (TDMA/CCDS body)" ~count:20 QCheck.(small_nat)
     (fun case ->
       let s = scenario_of ~max_wake:1 ~max_rounds:100_000 case in
-      let s = { s with wake = None } in
-      let params = Core.Params.default in
       let cfg = radio_config s ~stop:R.All_done in
-      let body ctx = Core.Tdma_ccds.body params ctx in
+      let body ctx = Core.Tdma_ccds.body Core.Params.default ctx in
       let fast = R.run cfg body in
       let oracle = R.run_reference cfg body in
       if fast <> oracle then QCheck.Test.fail_reportf "TDMA mismatch: %s" (pp_scenario s);
       true)
 
-(* Unit checks pinning down the fast-forward bookkeeping. *)
+(* One moderate-scale pin: a geometric n=128 MIS run catches
+   size-dependent bookkeeping slips (heap ordering, wake-pointer drift,
+   scratch reuse). *)
+let test_mis_n128 () =
+  let dual =
+    Gen.geometric ~rng:(Rng.create 7)
+      (Gen.default_spec ~n:128 ~side:(Gen.side_for_degree ~n:128 ~target_degree:12) ())
+  in
+  let params = Core.Params.default in
+  let stop = R.At_round (Core.Mis.schedule_rounds params ~n:(Dual.n dual)) in
+  let cfg =
+    R.config ~adversary:(Adversary.bernoulli 0.5) ~seed:41 ~stop ~detector:(detector_of dual)
+      dual
+  in
+  let fast = R.run cfg mis_body in
+  let oracle = R.run_reference cfg mis_body in
+  Alcotest.(check bool) "identical results at n=128" true (fast = oracle)
+
+(* --- fast-forward bookkeeping ------------------------------------------ *)
 
 let path2 = Dual.classic (Gen.path 2)
 
 let test_far_wake_jump () =
-  let det = Detector.static (Detector.perfect (Dual.g path2)) in
-  let cfg = E.config ~wake:[| 1; 300 |] ~detector:det path2 in
+  let cfg = E.config ~wake:[| 1; 300 |] ~detector:(detector_of path2) path2 in
   let body ctx = ignore (E.sync ctx (Some (E.me ctx))) in
   let fast = E.run cfg body in
   let oracle = E.run_reference cfg body in
@@ -252,8 +143,9 @@ let test_far_wake_jump () =
 
 let test_idle_past_stop () =
   (* A fiber idling beyond At_round: the run ends mid-stretch. *)
-  let det = Detector.static (Detector.perfect (Dual.g path2)) in
-  let cfg = E.config ~stop:(Rn_sim.Engine.At_round 10) ~detector:det path2 in
+  let cfg =
+    E.config ~stop:(Rn_sim.Engine.At_round 10) ~detector:(detector_of path2) path2
+  in
   let body ctx =
     ignore (E.sync ctx (Some (E.me ctx)));
     E.idle ctx 1_000;
@@ -268,35 +160,36 @@ let test_idle_past_stop () =
 let test_observer_disables_jump () =
   (* With an observer every round must be materialised and observed. *)
   let seen = ref [] in
-  let det = Detector.static (Detector.perfect (Dual.g path2)) in
   let cfg =
     E.config ~wake:[| 1; 5 |]
       ~observer:(fun v -> seen := (v.E.view_round, Array.length v.E.view_broadcasters) :: !seen)
-      ~detector:det path2
+      ~detector:(detector_of path2) path2
   in
   let body ctx = ignore (E.sync ctx (Some (E.me ctx))) in
   ignore (E.run cfg body);
   Alcotest.(check (list (pair int int)))
     "observer saw every round" [ (1, 1); (2, 0); (3, 0); (4, 0); (5, 1) ] (List.rev !seen)
 
-(* One moderate-scale pin: the qcheck scenarios stay at n <= 9, which
-   exercises the worklist/heap/bucket logic but not at the array sizes
-   the experiments use.  A geometric n=128 MIS run catches size-dependent
-   bookkeeping slips (heap ordering, wake-pointer drift, scratch reuse). *)
-let test_mis_n128 () =
-  let dual =
-    Gen.geometric ~rng:(Rng.create 7)
-      (Gen.default_spec ~n:128 ~side:(Gen.side_for_degree ~n:128 ~target_degree:12) ())
-  in
-  let det = Detector.static (Detector.perfect (Dual.g dual)) in
-  let params = Core.Params.default in
-  let stop = R.At_round (Core.Mis.schedule_rounds params ~n:(Dual.n dual)) in
-  let cfg =
-    R.config ~adversary:(Adversary.bernoulli 0.5) ~seed:41 ~stop ~detector:det dual
-  in
-  let fast = R.run cfg (fun ctx -> Core.Mis.body params ctx) in
-  let oracle = R.run_reference cfg (fun ctx -> Core.Mis.body params ctx) in
-  Alcotest.(check bool) "identical results at n=128" true (fast = oracle)
+(* --- delivery kernel ---------------------------------------------------- *)
+
+let prop_kernel_equiv =
+  prop_strategy ~name:"kernel `On = `Off = run_reference" ~count:200
+    (arb_strategy ~kernel:[ `On; `Off ] ())
+
+let prop_kernel_mis =
+  QCheck.Test.make ~name:"kernel `On = `Off (MIS body)" ~count:15 QCheck.(small_nat)
+    (fun case ->
+      let s = scenario_of ~max_wake:1 ~max_rounds:100_000 case in
+      let run kernel =
+        R.run (radio_config ~st:{ auto with kernel } s ~stop:(mis_stop s)) mis_body
+      in
+      if run `On <> run `Off then QCheck.Test.fail_reportf "MIS mismatch: %s" (pp_scenario s);
+      true)
+
+let test_kernel_n512 () =
+  check_circulant512 ~name:"identical results at n=512"
+    (circulant512_beacon { auto with kernel = `On })
+    (circulant512_beacon { auto with kernel = `Off })
 
 let () =
   Alcotest.run "engine_equiv"
@@ -315,5 +208,11 @@ let () =
           Alcotest.test_case "far wake jump" `Quick test_far_wake_jump;
           Alcotest.test_case "idle past stop" `Quick test_idle_past_stop;
           Alcotest.test_case "observer disables jump" `Quick test_observer_disables_jump;
+        ] );
+      ( "delivery",
+        [
+          qtest prop_kernel_equiv;
+          qtest prop_kernel_mis;
+          Alcotest.test_case "circulant n=512 pin" `Quick test_kernel_n512;
         ] );
     ]

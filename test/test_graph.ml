@@ -5,6 +5,7 @@ module Algo = Rn_graph.Algo
 module Dual = Rn_graph.Dual
 module Gen = Rn_graph.Gen
 module Rng = Rn_util.Rng
+module Point = Rn_geom.Point
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -194,6 +195,55 @@ let test_side_for_degree () =
     (Gen.side_for_degree ~n:100 ~target_degree:20
     < Gen.side_for_degree ~n:100 ~target_degree:10)
 
+(* ---------------- Grid world generation ---------------- *)
+
+(* The hash-grid [of_positions] must build the naive O(n^2) oracle's dual
+   bit for bit, including RNG stream consumption. *)
+
+let dual_eq a b =
+  Graph.n (Dual.g a) = Graph.n (Dual.g b)
+  && Graph.edges (Dual.g a) = Graph.edges (Dual.g b)
+  && Graph.edges (Dual.g' a) = Graph.edges (Dual.g' b)
+  && Dual.gray_edges a = Dual.gray_edges b
+  && Dual.d a = Dual.d b
+
+let prop_grid_gen_equiv =
+  QCheck.Test.make ~name:"grid of_positions = naive oracle (same RNG stream)" ~count:150
+    QCheck.(triple (int_range 1 60) (int_range 0 1000) (int_range 0 2))
+    (fun (n, pseed, dix) ->
+      let d = [| 1.0; 2.0; 3.5 |].(dix) in
+      let prng = Rng.create pseed in
+      (* spread tight enough that reliable and gray pairs both occur *)
+      let side = 1.0 +. sqrt (float_of_int n) in
+      let pos = Array.init n (fun _ -> Point.random prng ~w:side ~h:side) in
+      let grid = Gen.of_positions ~rng:(Rng.create 42) ~d ~gray_p:0.5 pos in
+      let naive = Gen.of_positions_naive ~rng:(Rng.create 42) ~d ~gray_p:0.5 pos in
+      if not (dual_eq grid naive) then
+        QCheck.Test.fail_reportf "grid <> naive at n=%d pseed=%d d=%.1f" n pseed d;
+      (* both must leave the RNG in the same state: draw-count equality *)
+      let r1 = Rng.create 42 and r2 = Rng.create 42 in
+      ignore (Gen.of_positions ~rng:r1 ~d ~gray_p:0.5 pos);
+      ignore (Gen.of_positions_naive ~rng:r2 ~d ~gray_p:0.5 pos);
+      if Rng.bits r1 <> Rng.bits r2 then
+        QCheck.Test.fail_reportf "RNG stream diverged at n=%d pseed=%d d=%.1f" n pseed d;
+      true)
+
+let prop_grid_gen_negative_coords =
+  (* the clusters generator places points at negative coordinates; the
+     grid must bucket them correctly *)
+  QCheck.Test.make ~name:"grid of_positions = naive (negative coords)" ~count:60
+    QCheck.(int_range 0 500)
+    (fun pseed ->
+      let prng = Rng.create pseed in
+      let n = 40 in
+      let pos =
+        Array.init n (fun _ ->
+            Point.make ((Rng.float prng -. 0.5) *. 8.0) ((Rng.float prng -. 0.5) *. 8.0))
+      in
+      let grid = Gen.of_positions ~rng:(Rng.create 7) ~d:2.0 ~gray_p:0.3 pos in
+      let naive = Gen.of_positions_naive ~rng:(Rng.create 7) ~d:2.0 ~gray_p:0.3 pos in
+      dual_eq grid naive)
+
 (* ---------------- Dual ---------------- *)
 
 let test_dual_classic () =
@@ -266,6 +316,7 @@ let () =
           Alcotest.test_case "clusters generator" `Quick test_clusters_generator;
           Alcotest.test_case "side for degree" `Quick test_side_for_degree;
         ] );
+      ("world-gen", [ qtest prop_grid_gen_equiv; qtest prop_grid_gen_negative_coords ]);
       ( "dual",
         [
           Alcotest.test_case "classic" `Quick test_dual_classic;

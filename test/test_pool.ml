@@ -52,15 +52,21 @@ let test_exception_pool_reusable_after_map () =
 let test_persistent_pool () =
   let p = Pool.create ~jobs:3 in
   Alcotest.(check int) "size" 3 (Pool.size p);
-  Alcotest.(check (list int)) "batch 1" [ 1; 4; 9 ] (Pool.run p (fun x -> x * x) [ 1; 2; 3 ]);
-  Alcotest.(check (list string))
-    "batch 2" [ "0"; "1"; "2" ]
-    (Pool.run p string_of_int [ 0; 1; 2 ]);
+  let batch f n =
+    let out = Array.make n 0 in
+    Pool.run_n p (fun i -> out.(i) <- f i) n;
+    Array.to_list out
+  in
+  Alcotest.(check (list int)) "batch 1" [ 0; 1; 4 ] (batch (fun i -> i * i) 3);
+  Alcotest.(check (list int)) "batch 2" [ 1; 2; 3; 4; 5 ] (batch succ 5);
+  Alcotest.(check (list int)) "n = 1 on the caller" [ 7 ] (batch (fun _ -> 7) 1);
+  Alcotest.check_raises "exception propagates" (Failure "shard 2") (fun () ->
+      Pool.run_n p (fun i -> if i = 2 then failwith "shard 2") 4);
+  Alcotest.(check (list int)) "reusable after a failed batch" [ 0; 2 ] (batch (( * ) 2) 2);
   Pool.shutdown p;
   Pool.shutdown p (* idempotent *);
-  Alcotest.check_raises "run after shutdown"
-    (Invalid_argument "Pool.run: pool is shut down") (fun () ->
-      ignore (Pool.run p Fun.id [ 1 ]))
+  Alcotest.check_raises "run_n after shutdown"
+    (Invalid_argument "Pool.run_n: pool is shut down") (fun () -> Pool.run_n p ignore 2)
 
 (* A miniature experiment cell: deterministic in (seed, n), heavy enough
    to overlap across workers. *)
