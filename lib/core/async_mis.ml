@@ -34,14 +34,15 @@ let body ?(classic = false) ?(on_decide = fun _ -> ()) (params : Params.t) ctx =
      silently requires the listening constant to dominate the competition
      constant). *)
   let listen_len = params.c_listen * phases * lp in
-  (* Listen one round; raise on knock-out or coverage. *)
-  let listen_round ~send =
-    let recv = match send with None -> R.sync ctx None | Some (p, m) -> R.sync_p ctx p m in
+  (* Raise on knock-out or coverage. *)
+  let check recv =
     match filter ctx recv with
     | Some (Msg.Mis_announce _) -> raise Covered
     | Some (Msg.Contender _) -> raise Knocked
     | Some _ | None -> ()
   in
+  (* Silent for [k] rounds (parked by the engine between receptions). *)
+  let listen k = R.listen_for ctx k (fun m -> check (R.Recv m)) in
   let joined = ref false in
   let covered = ref false in
   (try
@@ -54,23 +55,18 @@ let body ?(classic = false) ?(on_decide = fun _ -> ()) (params : Params.t) ctx =
        incr epoch;
        try
          (* Listening phase: silent; any message restarts the epoch. *)
-         for _ = 1 to listen_len do
-           listen_round ~send:None
-         done;
+         listen listen_len;
          (* Competition phases with doubling probabilities. *)
          for ph = 0 to phases - 1 do
            let p = min 0.5 (float_of_int (1 lsl ph) /. float_of_int n) in
            for _ = 1 to lp do
-             listen_round ~send:(Some (p, Msg.Contender { src = me; lds = None }))
+             check (R.sync_p ctx p (Msg.Contender { src = me; lds = None }))
            done
          done;
          joined := true
        with Knocked -> ()
      done;
-     if not !joined then
-       while true do
-         listen_round ~send:None
-       done
+     if not !joined then listen max_int
    with Covered ->
      covered := true;
      on_decide 0);

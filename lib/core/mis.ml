@@ -64,50 +64,44 @@ let body ?(filter = Radio.recv_from_detector) ?(label_lds = false)
       active
     | Some _ | None -> active
   in
+  (* Silent rounds only ever feed [handle] as a non-contender; the engine
+     parks the fiber through them and wakes it on a reception. *)
+  let listen rounds = R.listen_for ctx rounds (fun m -> ignore (handle (R.Recv m) false)) in
+  (* One announcement window: MIS members announce with probability 1/2,
+     everyone else listens. *)
+  let announce_window () =
+    if !in_mis then
+      for _ = 1 to lp do
+        ignore (handle (R.sync_p ctx 0.5 (Msg.Mis_announce { src = me; lds = lds () })) false)
+      done
+    else listen lp
+  in
   for _epoch = 1 to n_epochs do
     if (not participate) || !in_mis || !covered then begin
       (* Inactive for the competition part: silent, but keep listening so
          the MIS set stays current. *)
-      for _ = 1 to phases * lp do
-        ignore (handle (R.sync ctx None) false)
-      done;
+      listen (phases * lp);
       (* MIS members re-announce in every epoch's announcement window (the
          robustness measure Section 9 prescribes for late listeners): only
          MIS members speak here, so contention stays constant. *)
-      for _ = 1 to lp do
-        let recv =
-          if !in_mis then R.sync_p ctx 0.5 (Msg.Mis_announce { src = me; lds = lds () })
-          else R.sync ctx None
-        in
-        ignore (handle recv false)
-      done
+      announce_window ()
     end
     else begin
-      let active = ref true in
-      for ph = 0 to phases - 1 do
-        let p = min 0.5 (float_of_int (1 lsl ph) /. float_of_int n) in
-        for _ = 1 to lp do
-          let recv =
-            if !active then R.sync_p ctx p (Msg.Contender { src = me; lds = lds () })
-            else R.sync ctx None
-          in
-          active := handle recv !active
-        done
+      (* Competition: contend with the phase's probability until knocked
+         out, then listen through the rest of the phases. *)
+      let active = ref true and t = ref 0 in
+      while !active && !t < phases * lp do
+        let p = min 0.5 (float_of_int (1 lsl (!t / lp)) /. float_of_int n) in
+        incr t;
+        active := handle (R.sync_p ctx p (Msg.Contender { src = me; lds = lds () })) true
       done;
-      let survived = !active in
-      if survived then begin
+      listen ((phases * lp) - !t);
+      if !active then begin
         in_mis := true;
         Hashtbl.replace mis_set me ();
         on_decide 1
       end;
-      for _ = 1 to lp do
-        let recv =
-          if survived then
-            R.sync_p ctx 0.5 (Msg.Mis_announce { src = me; lds = lds () })
-          else R.sync ctx None
-        in
-        ignore (handle recv false)
-      done
+      announce_window ()
     end
   done;
   let mis_neighbors =

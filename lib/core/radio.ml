@@ -49,6 +49,21 @@ let recv_mutual ctx lds_of = function
   end
   | R.Recv _ | R.Own | R.Silence -> None
 
+(* Listen for [k] rounds, handing every received message to [on_recv]:
+   the same as [k] calls of [sync ctx None] that pass each [Recv m] on,
+   but the engine resumes the fiber only in the rounds it receives (and
+   once more when the stretch ends).  [on_recv] runs in the receiving
+   round, so detector queries and exceptions behave as in the loop. *)
+let listen_for ctx k on_recv =
+  let left = ref k in
+  while !left > 0 do
+    match R.listen ctx ~upto:!left with
+    | Some (j, m) ->
+      left := !left - j;
+      on_recv m
+    | None -> left := 0
+  done
+
 (* Number of ids that fit in one chunked payload given the message bound.
    Reserves [header_ids] id-sized fields plus the tag.  When no bound is
    configured, chunks are unbounded (single chunk). *)

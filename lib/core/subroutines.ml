@@ -23,14 +23,18 @@ module Rng = Rn_util.Rng
 let bb_rounds (params : Params.t) ~n ~delta =
   params.c_bb * (1 lsl min delta params.bb_cap) * Ilog.log2_up n
 
-(* One bounded-broadcast slot.  [msg = None] participates as listener.
+(* One bounded-broadcast slot.  [msg = None] participates as listener
+   (parked by the engine between receptions).
    Every received message is handed to [on_recv] unfiltered — callers apply
    their own detector filtering. *)
 let bounded_broadcast (params : Params.t) ctx ~delta msg ~on_recv =
-  for _ = 1 to bb_rounds params ~n:(R.n ctx) ~delta do
-    let recv = match msg with Some m -> R.sync_p ctx 0.5 m | None -> R.sync ctx None in
-    match recv with Recv m -> on_recv m | Own | Silence -> ()
-  done
+  let rounds = bb_rounds params ~n:(R.n ctx) ~delta in
+  match msg with
+  | None -> R.listen_for ctx rounds on_recv
+  | Some m ->
+    for _ = 1 to rounds do
+      match R.sync_p ctx 0.5 m with Recv m -> on_recv m | Own | Silence -> ()
+    done
 
 let dd_phase_rounds (params : Params.t) ~n = params.c_dd * Ilog.log2_up n
 

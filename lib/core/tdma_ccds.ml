@@ -53,14 +53,12 @@ let body ?(on_decide = fun _ -> ()) (_params : Params.t) ctx =
   let n = R.n ctx and me = R.me ctx in
   let keep m = if Radio.in_detector ctx (Msg.src m) then Some m else None in
   (* One TDMA frame: [speak] builds my slot's message, [hear] sees every
-     detector-filtered reception. *)
+     detector-filtered reception.  Every other slot is pure listening. *)
   let frame ~speak ~hear =
-    for slot = 0 to n - 1 do
-      let msg = if slot = me then speak () else None in
-      match R.sync ctx msg with
-      | R.Recv m -> ( match keep m with Some m -> hear m | None -> ())
-      | R.Own | R.Silence -> ()
-    done
+    let hear_kept m = match keep m with Some m -> hear m | None -> () in
+    R.listen_for ctx me hear_kept;
+    (match R.sync ctx (speak ()) with R.Recv m -> hear_kept m | R.Own | R.Silence -> ());
+    R.listen_for ctx (n - 1 - me) hear_kept
   in
   (* ---- frame A: greedy MIS by id ---- *)
   let mis_nbrs = ref [] in

@@ -19,6 +19,13 @@
      phase is O(#wakers this round);
    - fibers that declare themselves inert for k rounds ([idle]) park in a
      min-heap keyed by resume round instead of being resumed k times;
+     fibers that listen for up to k rounds ([listen]) park in the same
+     heap and are woken early by the delivery phase — whichever path
+     (scalar touches, dense kernel, sharded scatter) computes the round —
+     only when they receive, so listen-only rounds cost no continuation
+     switch;
+   - one effect handler serves every fiber of a run: effects carry the
+     performing fiber's id, so no per-fiber closures are built;
    - the adversary RNG is re-derived per round from a root stream
      ([Rng.derive_into adv_root round]), so rounds with no broadcasters can
      skip the adversary/delivery phases — and stretches of rounds with no
@@ -70,6 +77,14 @@ let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
 let m_resume_sharded_rounds = Metrics.counter "engine.resume_sharded_rounds"
 let m_resume_sharded_steps = Metrics.counter "engine.resume_sharded_steps"
 let m_timeouts = Metrics.counter "engine.timeouts"
+
+(* Continuations resumed (synced, woken-listener and due-parked steps;
+   the first run of a fresh fiber is not a resume), and parked listeners
+   woken early by a reception.  Accumulated on the main domain and
+   recorded once per run: resume time over [fiber_steps] is the switch
+   cost per step. *)
+let m_fiber_steps = Metrics.counter "engine.fiber_steps"
+let m_listen_wakes = Metrics.counter "engine.listen_wakes"
 let m_round_bcast = Metrics.histogram "engine.round_broadcasters"
 let m_run_rounds = Metrics.histogram "engine.run_rounds"
 
@@ -110,15 +125,20 @@ let semantics_digest = Printf.sprintf "eng%d" semantics_version
    than stepping the fibers on one domain. *)
 let resume_auto_threshold = 1024
 
+(* Heap key of a stretch of [dur >= 1] rounds starting at round [base]:
+   its last round, saturated at [max_int] (a key that never comes due)
+   instead of wrapping negative for very long stretches. *)
+let park_key base dur = if dur > max_int - base then max_int else base + dur - 1
+
 (* Private per-shard collection buffers for the sharded resume phase: a
-   stepped fiber contributes at most one join *or* one idle-parking, plus
+   stepped fiber contributes at most one join *or* one parking, plus
    at most one first decision and one finish, so slice-sized arrays never
    overflow.  Buffers hold only ints — the merge is blits, pushes, and
    counter adds on the main domain, in ascending shard order. *)
 type resume_buf = {
   rb_join : int array; (* fibers that performed Sync, in step order *)
   mutable rb_join_n : int;
-  rb_idle_r : int array; (* heap keys of fibers that performed Idle *)
+  rb_idle_r : int array; (* heap keys of fibers that performed Idle/Listen *)
   rb_idle_v : int array;
   mutable rb_idle_n : int;
   mutable rb_finished : int; (* fibers whose body returned *)
@@ -128,9 +148,12 @@ type resume_buf = {
 module Make (M : MESSAGE) = struct
   type receive = Own | Silence | Recv of M.t
 
+  (* Every payload carries the performing fiber's id, so one handler
+     serves the whole run. *)
   type _ Effect.t +=
-    | Sync : M.t option -> receive Effect.t
-    | Idle : int -> unit Effect.t
+    | Sync : int * M.t option -> receive Effect.t
+    | Idle : int * int -> unit Effect.t
+    | Listen : int * int -> (int * M.t) option Effect.t
 
   type view = {
     view_round : int;
@@ -173,16 +196,17 @@ module Make (M : MESSAGE) = struct
            test_adversary_kernel). *)
     resume_shards : int;
         (* resume-phase sharding: with [resume_shards > 1] (and no sink),
-           each round whose live-fiber count clears
+           each round whose synced plus woken-listener count clears
            [resume_auto_threshold] cuts its work list — the synced fibers
-           in worklist order, then the idlers due this round in heap-pop
-           order — into contiguous slices stepped in parallel on Pool
-           domains.  Each shard collects its joins / idle-parkings /
-           finish and decide counts into a private buffer; the main
-           domain merges the buffers in ascending shard order.  Pure
-           evaluation strategy — results are byte-identical at any shard
-           count (test_resume_shard).  A sink forces the scalar path (the
-           scalar step emits Decide events in step order). *)
+           in worklist order, the woken listeners, then the parked fibers
+           due this round in heap-pop order — into contiguous slices
+           stepped in parallel on Pool domains.  Each shard collects its
+           joins / parkings / finish and decide counts into a private
+           buffer; the main domain merges the buffers in ascending shard
+           order.  Pure evaluation strategy — results are byte-identical
+           at any shard count (test_resume_shard).  A sink forces the
+           scalar path (the scalar step emits Decide events in step
+           order). *)
   }
 
   let config ?(adversary = Adversary.silent) ?(seed = 0) ?b_bits ?(delta_bound = 0)
@@ -238,7 +262,7 @@ module Make (M : MESSAGE) = struct
   let output ctx v = ctx.do_output v
 
   let sync ctx send =
-    let r = Effect.perform (Sync send) in
+    let r = Effect.perform (Sync (ctx.me, send)) in
     ctx.local_round <- ctx.local_round + 1;
     r
 
@@ -247,8 +271,19 @@ module Make (M : MESSAGE) = struct
      resuming it k times; semantically identical to k silent syncs. *)
   let idle ctx k =
     if k > 0 then begin
-      Effect.perform (Idle k);
+      Effect.perform (Idle (ctx.me, k));
       ctx.local_round <- ctx.local_round + k
+    end
+
+  (* Up to [upto] silent syncs that stop after the first [Recv], as one
+     effect: the fiber parks until it receives or the stretch ends. *)
+  let listen ctx ~upto =
+    if upto <= 0 then None
+    else begin
+      let r = Effect.perform (Listen (ctx.me, upto)) in
+      (ctx.local_round <-
+         ctx.local_round + match r with Some (j, _) -> j | None -> upto);
+      r
     end
 
   (* Broadcast with probability [p], otherwise listen. *)
@@ -266,11 +301,12 @@ module Make (M : MESSAGE) = struct
   type fiber_status = Asleep | Running | Finished
 
   (* A fiber between resumptions: waiting on this round's receive, parked
-     by [idle], or absent (asleep / finished). *)
+     by [idle] or [listen], or absent (asleep / finished). *)
   type fiber_pending =
     | No_fiber
     | Synced of (receive, unit) Effect.Deep.continuation
     | Idling of (unit, unit) Effect.Deep.continuation
+    | Listening of ((int * M.t) option, unit) Effect.Deep.continuation
 
   let no_broadcasters : int array = [||]
 
@@ -369,50 +405,58 @@ module Make (M : MESSAGE) = struct
     let n_active = ref 0 in
     let joining = Array.make (max 1 nn) 0 in
     let n_joining = ref 0 in
-    (* Idling fibers, min-heap keyed by the round at whose end they resume.
-       At most one entry per fiber. *)
+    (* Parked fibers (idlers and listeners), min-heap keyed by the last
+       round of their stretch.  At most one entry per fiber; [heap_pos]
+       indexes it, so a listener woken by a reception leaves in
+       O(log n). *)
     let heap_r = Array.make (max 1 nn) 0 in
     let heap_v = Array.make (max 1 nn) 0 in
+    let heap_pos = Array.make (max 1 nn) (-1) in
     let heap_n = ref 0 in
+    let heap_set i r v =
+      heap_r.(i) <- r;
+      heap_v.(i) <- v;
+      heap_pos.(v) <- i
+    in
     let heap_swap i j =
       let tr = heap_r.(i) and tv = heap_v.(i) in
-      heap_r.(i) <- heap_r.(j);
-      heap_v.(i) <- heap_v.(j);
-      heap_r.(j) <- tr;
-      heap_v.(j) <- tv
+      heap_set i heap_r.(j) heap_v.(j);
+      heap_set j tr tv
+    in
+    let rec sift_up i =
+      let p = (i - 1) / 2 in
+      if i > 0 && heap_r.(p) > heap_r.(i) then begin
+        heap_swap p i;
+        sift_up p
+      end
+    in
+    let rec sift_down i =
+      let l = (2 * i) + 1 and r = (2 * i) + 2 in
+      let s = if l < !heap_n && heap_r.(l) < heap_r.(i) then l else i in
+      let s = if r < !heap_n && heap_r.(r) < heap_r.(s) then r else s in
+      if s <> i then begin
+        heap_swap i s;
+        sift_down s
+      end
     in
     let heap_push r v =
-      let i = ref !heap_n in
-      heap_r.(!i) <- r;
-      heap_v.(!i) <- v;
+      heap_set !heap_n r v;
       incr heap_n;
-      while !i > 0 && heap_r.((!i - 1) / 2) > heap_r.(!i) do
-        let p = (!i - 1) / 2 in
-        heap_swap p !i;
-        i := p
-      done
+      sift_up (!heap_n - 1)
     in
     let heap_min () = if !heap_n = 0 then max_int else heap_r.(0) in
-    let heap_pop () =
-      let v = heap_v.(0) in
+    let heap_remove_at i =
+      let v = heap_v.(i) in
+      heap_pos.(v) <- -1;
       decr heap_n;
-      heap_r.(0) <- heap_r.(!heap_n);
-      heap_v.(0) <- heap_v.(!heap_n);
-      let i = ref 0 in
-      let sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < !heap_n && heap_r.(l) < heap_r.(!s) then s := l;
-        if r < !heap_n && heap_r.(r) < heap_r.(!s) then s := r;
-        if !s = !i then sifting := false
-        else begin
-          heap_swap !i !s;
-          i := !s
-        end
-      done;
+      if i < !heap_n then begin
+        heap_set i heap_r.(!heap_n) heap_v.(!heap_n);
+        sift_down i;
+        sift_up i
+      end;
       v
     in
+    let heap_pop () = heap_remove_at 0 in
     (* Wake queue: node ids sorted by (wake round, id); [wake_ptr] advances
        monotonically, so the wake phase costs O(#wakers this round). *)
     let wake_order = Array.init nn (fun i -> i) in
@@ -423,20 +467,36 @@ module Make (M : MESSAGE) = struct
       wake_order;
     let wake_ptr = ref 0 in
     let next_wake () = if !wake_ptr >= nn then max_int else wake.(wake_order.(!wake_ptr)) in
-    (* The round a fresh [Idle k] starts counting from: the current round
-       during the wake phase, the next round during the resume phase. *)
+    (* The round a fresh [Idle k] / [Listen k] starts counting from: the
+       current round during the wake phase, the next round during the
+       resume phase.  [listen_from.(v)] keeps it for a parked listener,
+       which is woken with its offset into the stretch. *)
     let idle_base = ref 0 in
-    (* During a sharded resume the handler closures execute on whichever
-       Pool domain stepped the fiber; [resume_assign.(v)] routes their
-       side effects into that shard's private buffer.  [idle_base] and
-       [round_counter] are only read during a resume phase and only
-       written by the main domain between phases, so the reads are
-       stable. *)
-    let handler v : (unit, unit) Effect.Deep.handler =
+    let listen_from = Array.make (max 1 nn) 0 in
+    (* Parked listeners that received this round, in delivery order. *)
+    let woken = Array.make (max 1 nn) 0 in
+    let n_woken = ref 0 in
+    (* One handler for the whole run: effects carry the fiber id.  During
+       a sharded resume it executes on whichever Pool domain stepped the
+       fiber; [resume_assign.(v)] routes its side effects into that
+       shard's private buffer.  [idle_base] and [round_counter] are only
+       read during a resume phase and only written by the main domain
+       between phases, so the reads are stable. *)
+    let park v dur =
+      let key = park_key !idle_base dur in
+      let s = resume_assign.(v) in
+      if s < 0 then heap_push key v
+      else begin
+        let b = (!resume_bufs).(s) in
+        b.rb_idle_r.(b.rb_idle_n) <- key;
+        b.rb_idle_v.(b.rb_idle_n) <- v;
+        b.rb_idle_n <- b.rb_idle_n + 1
+      end
+    in
+    let handler : (int, unit) Effect.Deep.handler =
       {
         retc =
-          (fun () ->
-            pending.(v) <- No_fiber;
+          (fun v ->
             let s = resume_assign.(v) in
             if s < 0 then incr n_finished
             else begin
@@ -447,7 +507,7 @@ module Make (M : MESSAGE) = struct
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Sync send ->
+            | Sync (v, send) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   sends.(v) <- send;
@@ -462,24 +522,27 @@ module Make (M : MESSAGE) = struct
                     b.rb_join.(b.rb_join_n) <- v;
                     b.rb_join_n <- b.rb_join_n + 1
                   end)
-            | Idle dur ->
+            | Idle (v, dur) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   pending.(v) <- Idling k;
-                  let s = resume_assign.(v) in
-                  if s < 0 then heap_push (!idle_base + dur - 1) v
-                  else begin
-                    let b = (!resume_bufs).(s) in
-                    b.rb_idle_r.(b.rb_idle_n) <- !idle_base + dur - 1;
-                    b.rb_idle_v.(b.rb_idle_n) <- v;
-                    b.rb_idle_n <- b.rb_idle_n + 1
-                  end)
+                  park v dur)
+            | Listen (v, dur) ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  pending.(v) <- Listening k;
+                  listen_from.(v) <- !idle_base;
+                  park v dur)
             | _ -> None);
       }
     in
     let start v =
       let ctx = mk_ctx v in
-      Effect.Deep.match_with (fun () -> returns.(v) <- Some (body ctx)) () (handler v)
+      Effect.Deep.match_with
+        (fun () ->
+          returns.(v) <- Some (body ctx);
+          v)
+        () handler
     in
     (* Delivery scratch, reset via the touched list each round.  A unique
        broadcaster is remembered by id ([recv_from]) rather than by boxing
@@ -508,6 +571,7 @@ module Make (M : MESSAGE) = struct
     let k_twice = Bitset.create nn in
     let k_sync = Bitset.create nn in
     let k_idle = Bitset.create nn in
+    let k_listen = Bitset.create nn in
     let k_recv = Bitset.create nn in
     let k_words = Bitset.word_count k_once in
     (* Intra-run sharding: with [shards > 1], broadcasting rounds slice
@@ -580,41 +644,81 @@ module Make (M : MESSAGE) = struct
     (* Shared by the dense kernel and the sharded path: once the round's
        (once, twice) pair sits in [k_once]/[k_twice], classify every node
        word-parallel — receives = once ∧ ¬twice ∧ listeners, collisions =
-       twice ∧ listeners — update the counters, leave the synced
-       receivers in [k_recv], and report whether there are any. *)
+       twice ∧ listeners — update the counters, leave the receivers that
+       take the payload (synced fibers and parked listeners) in [k_recv],
+       queue the parked listeners among them in [woken], and report
+       whether there are any receivers. *)
     let kernel_classify () =
       Bitset.clear k_sync;
       Bitset.clear k_idle;
+      Bitset.clear k_listen;
       for i = 0 to !n_active - 1 do
         let v = active.(i) in
         if sends.(v) = None then Bitset.add k_sync v
       done;
       for i = 0 to !heap_n - 1 do
-        Bitset.add k_idle heap_v.(i)
+        let v = heap_v.(i) in
+        match pending.(v) with
+        | Listening _ -> Bitset.add k_listen v
+        | _ -> Bitset.add k_idle v
       done;
-      let any_recv = ref false in
+      let any_recv = ref false and any_wake = ref false in
       for w = 0 to k_words - 1 do
         let once = Bitset.get_word k_once w in
         let twice = Bitset.get_word k_twice w in
-        let sy = Bitset.get_word k_sync w in
-        let listen = sy lor Bitset.get_word k_idle w in
+        let takes = Bitset.get_word k_sync w lor Bitset.get_word k_listen w in
+        let listen = takes lor Bitset.get_word k_idle w in
         let recv = once land lnot twice in
         deliveries := !deliveries + Bitset.popcount_word (recv land listen);
         collisions := !collisions + Bitset.popcount_word (twice land listen);
-        let rs = recv land sy in
-        if rs <> 0 then any_recv := true;
+        let rs = recv land takes in
+        if rs <> 0 then begin
+          any_recv := true;
+          if rs land Bitset.get_word k_listen w <> 0 then any_wake := true
+        end;
         Bitset.set_word k_recv w rs
       done;
+      if !any_wake then
+        Bitset.iter_inter
+          (fun v ->
+            woken.(!n_woken) <- v;
+            incr n_woken)
+          k_recv k_listen;
       !any_recv
     in
     (* Receive buffer; all-[Silence] between rounds (entries are reset as
        they are consumed by the resume phase). *)
     let receives = Array.make nn Silence in
+    (* Resume fiber [v] at the end of round [r]: a synced fiber with its
+       receive, a woken listener with its offset into the stretch and the
+       message, a parked fiber whose stretch ended with [()] / [None]. *)
+    let step r v =
+      match pending.(v) with
+      | Synced k ->
+        let recv = receives.(v) in
+        receives.(v) <- Silence;
+        sends.(v) <- None;
+        pending.(v) <- No_fiber;
+        Effect.Deep.continue k recv
+      | Idling k ->
+        pending.(v) <- No_fiber;
+        Effect.Deep.continue k ()
+      | Listening k -> (
+        pending.(v) <- No_fiber;
+        match receives.(v) with
+        | Recv m ->
+          receives.(v) <- Silence;
+          Effect.Deep.continue k (Some (r - listen_from.(v) + 1, m))
+        | Own | Silence -> Effect.Deep.continue k None)
+      | No_fiber -> assert false
+    in
     let g = Dual.g dual in
+    (* The message of a broadcaster. *)
+    let sent u = match sends.(u) with Some m -> m | None -> assert false in
     (* Returns the encoded size so the broadcast event can carry it. *)
     let validate_send v =
       incr sends_total;
-      let m = match sends.(v) with Some m -> m | None -> assert false in
+      let m = sent v in
       let sz = M.size_bits ~n:nn m in
       bits_sent := !bits_sent + sz;
       (match cfg.b_bits with
@@ -632,6 +736,7 @@ module Make (M : MESSAGE) = struct
       | At_round r -> !round_counter >= r
     in
     let timed_out = ref false in
+    let fiber_steps = ref 0 and listen_wakes = ref 0 in
     let prof = Timing.enabled () in
     let ff_skipped = ref 0 in
     let t_mark = ref 0.0 in
@@ -818,7 +923,7 @@ module Make (M : MESSAGE) = struct
                if kernel_classify () then
                  Array.iter
                    (fun u ->
-                     let m = match sends.(u) with Some m -> m | None -> assert false in
+                     let m = sent u in
                      Graph.iter_neighbors
                        (fun v -> if Bitset.mem k_recv v then receives.(v) <- Recv m)
                        g u;
@@ -846,15 +951,15 @@ module Make (M : MESSAGE) = struct
                            (Dual.gray_other dual e u))
                        gmask.(u) gray_active)
                  broadcasters;
-               (* second sweep hands each receiving synced fiber its
-                  sender's message; the sender is unique because an
+               (* second sweep hands each receiving synced fiber or
+                  parked listener its sender's message; the sender is unique because an
                   exactly-one-sender node lies in exactly one
                   broadcaster's reach set.  Skipped outright when nobody
                   received (the common case under heavy contention). *)
                if kernel_classify () then
                  Array.iter
                    (fun u ->
-                     let m = match sends.(u) with Some m -> m | None -> assert false in
+                     let m = sent u in
                      Bitset.iter_inter (fun v -> receives.(v) <- Recv m) rows.(u) k_recv;
                      if ng > 0 && Dual.gray_degree dual u > 0 then
                        Bitset.iter_inter
@@ -877,11 +982,18 @@ module Make (M : MESSAGE) = struct
                  let v = touched.(i) in
                  (if sends.(v) = None then
                     match pending.(v) with
-                    | Synced _ ->
+                    | No_fiber -> ()
+                    | (Synced _ | Idling _ | Listening _) as p ->
                       if recv_count.(v) = 1 then begin
-                        (match sends.(recv_from.(v)) with
-                        | Some m -> receives.(v) <- Recv m
-                        | None -> assert false);
+                        (* Idlers discard the message, but the delivery
+                           still happened; a parked listener is woken. *)
+                        (match p with
+                        | Synced _ -> receives.(v) <- Recv (sent recv_from.(v))
+                        | Listening _ ->
+                          receives.(v) <- Recv (sent recv_from.(v));
+                          woken.(!n_woken) <- v;
+                          incr n_woken
+                        | Idling _ | No_fiber -> ());
                         incr deliveries;
                         if tracing then
                           emit { Events.round = r; proc = v; kind = Deliver { src = recv_from.(v) } }
@@ -890,21 +1002,7 @@ module Make (M : MESSAGE) = struct
                         incr collisions;
                         if tracing then
                           emit { Events.round = r; proc = v; kind = Collide { senders = recv_count.(v) } }
-                      end
-                    | Idling _ ->
-                      (* Parked listeners discard the message, but the
-                         delivery (or collision) still happened. *)
-                      if recv_count.(v) = 1 then begin
-                        incr deliveries;
-                        if tracing then
-                          emit { Events.round = r; proc = v; kind = Deliver { src = recv_from.(v) } }
-                      end
-                      else begin
-                        incr collisions;
-                        if tracing then
-                          emit { Events.round = r; proc = v; kind = Collide { senders = recv_count.(v) } }
-                      end
-                    | No_fiber -> ());
+                      end);
                  recv_count.(v) <- 0;
                  recv_from.(v) <- -1
                done
@@ -912,41 +1010,52 @@ module Make (M : MESSAGE) = struct
              Array.iter (fun v -> receives.(v) <- Own) broadcasters;
              p_stop Timing.Deliver
            end;
-           (* 5. Resume every live fiber with its receive, then unpark the
-              idlers whose stretch ends this round.  All receives were
-              computed before any resume, so next-round intents cannot
-              bleed into this round. *)
+           (* 5. Resume every live fiber with its receive, then the
+              listeners woken by a reception, then the parked fibers
+              whose stretch ends this round.  All receives were computed
+              before any resume, so next-round intents cannot bleed into
+              this round.  Woken listeners leave the heap here, on the
+              main domain, before any step. *)
            p_start ();
            idle_base := r + 1;
            n_joining := 0;
+           let nw = !n_woken in
+           n_woken := 0;
+           for i = 0 to nw - 1 do
+             ignore (heap_remove_at heap_pos.(woken.(i)))
+           done;
+           listen_wakes := !listen_wakes + nw;
            (* Pool dispatch + merge are a fixed per-round cost; only
               rounds with enough fibers to step amortise it. *)
            let use_resume_shards =
-             resume_shards > 1 && !n_active >= resume_auto_threshold
+             resume_shards > 1 && !n_active + nw >= resume_auto_threshold
            in
            if use_resume_shards then begin
              (* Sharded resume: fix the work list up front — the synced
-                fibers in worklist order, then every idler due this round
-                in heap-pop order.  [idle] guarantees dur >= 1, so any
-                Idle performed by a stepped fiber parks at a key >= r+1:
-                the due set cannot grow while we step, which is what
-                makes popping it before the first step sound.  Contiguous
-                slices then step on Pool domains; per-process RNG streams
-                are independently derived and a step reads only its own
-                [receives] slot, so slices are independent.  Merging the
-                per-shard buffers in ascending shard order reproduces the
-                sequential pop-all-then-step outcome exactly; any
+                fibers in worklist order, the woken listeners, then every
+                parked fiber due this round in heap-pop order.  [idle]
+                and [listen] guarantee dur >= 1, so any parking performed
+                by a stepped fiber has a key >= r+1: the due set cannot
+                grow while we step, which is what makes popping it before
+                the first step sound.  Contiguous slices then step on
+                Pool domains; per-process RNG streams are independently
+                derived and a step reads only its own [receives] and
+                [listen_from] slots, so slices are independent.  Merging
+                the per-shard buffers in ascending shard order reproduces
+                the sequential pop-all-then-step outcome exactly; any
                 residual ordering freedom (heap layout among equal keys,
                 worklist order) is unobservable in results — certified
                 against the scalar path and [run_reference] by
                 test_resume_shard. *)
              Array.blit active 0 resume_work 0 !n_active;
-             let mw = ref !n_active in
+             Array.blit woken 0 resume_work !n_active nw;
+             let mw = ref (!n_active + nw) in
              while !heap_n > 0 && heap_r.(0) = r do
                resume_work.(!mw) <- heap_pop ();
                incr mw
              done;
              let m = !mw in
+             fiber_steps := !fiber_steps + m;
              if met then begin
                Metrics.incr m_resume_sharded_rounds;
                Metrics.add m_resume_sharded_steps m
@@ -965,18 +1074,7 @@ module Make (M : MESSAGE) = struct
              Pool.run_n (get_pool ())
                (fun s ->
                  for i = s * m / resume_shards to (((s + 1) * m) / resume_shards) - 1 do
-                   let v = resume_work.(i) in
-                   match pending.(v) with
-                   | Synced k ->
-                     let recv = receives.(v) in
-                     receives.(v) <- Silence;
-                     sends.(v) <- None;
-                     pending.(v) <- No_fiber;
-                     Effect.Deep.continue k recv
-                   | Idling k ->
-                     pending.(v) <- No_fiber;
-                     Effect.Deep.continue k ()
-                   | No_fiber -> assert false
+                   step r resume_work.(i)
                  done)
                resume_shards;
              for s = 0 to resume_shards - 1 do
@@ -994,24 +1092,16 @@ module Make (M : MESSAGE) = struct
              done
            end
            else begin
+             fiber_steps := !fiber_steps + !n_active + nw;
              for i = 0 to !n_active - 1 do
-               let v = active.(i) in
-               match pending.(v) with
-               | Synced k ->
-                 let recv = receives.(v) in
-                 receives.(v) <- Silence;
-                 sends.(v) <- None;
-                 pending.(v) <- No_fiber;
-                 Effect.Deep.continue k recv
-               | Idling _ | No_fiber -> assert false
+               step r active.(i)
+             done;
+             for i = 0 to nw - 1 do
+               step r woken.(i)
              done;
              while !heap_n > 0 && heap_r.(0) = r do
-               let v = heap_pop () in
-               match pending.(v) with
-               | Idling k ->
-                 pending.(v) <- No_fiber;
-                 Effect.Deep.continue k ()
-               | Synced _ | No_fiber -> assert false
+               incr fiber_steps;
+               step r (heap_pop ())
              done
            end;
            Array.blit joining 0 active 0 !n_joining;
@@ -1042,6 +1132,8 @@ module Make (M : MESSAGE) = struct
       Metrics.add m_collisions !collisions;
       Metrics.add m_bits_sent !bits_sent;
       Metrics.add m_silent_rounds !silent_rounds;
+      Metrics.add m_fiber_steps !fiber_steps;
+      Metrics.add m_listen_wakes !listen_wakes;
       if !timed_out then Metrics.incr m_timeouts;
       Metrics.observe m_run_rounds !round_counter
     end;
@@ -1088,6 +1180,7 @@ module Make (M : MESSAGE) = struct
     let sends = Array.make nn None in
     let pending = Array.make nn No_fiber in
     let resume_round = Array.make nn 0 in
+    let listen_from = Array.make nn 0 in
     let round_counter = ref 0 in
     let sends_total = ref 0 and deliveries = ref 0 and collisions = ref 0 in
     let bits_sent = ref 0 and silent_rounds = ref 0 in
@@ -1113,30 +1206,40 @@ module Make (M : MESSAGE) = struct
       }
     in
     let idle_base = ref 0 in
-    let handler v : (unit, unit) Effect.Deep.handler =
+    let handler : (int, unit) Effect.Deep.handler =
       {
-        retc = (fun () -> status.(v) <- Finished);
+        retc = (fun v -> status.(v) <- Finished);
         exnc = raise;
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Sync send ->
+            | Sync (v, send) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   sends.(v) <- send;
                   pending.(v) <- Synced k)
-            | Idle dur ->
+            | Idle (v, dur) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   pending.(v) <- Idling k;
-                  resume_round.(v) <- !idle_base + dur - 1)
+                  resume_round.(v) <- park_key !idle_base dur)
+            | Listen (v, dur) ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  pending.(v) <- Listening k;
+                  listen_from.(v) <- !idle_base;
+                  resume_round.(v) <- park_key !idle_base dur)
             | _ -> None);
       }
     in
     let start v =
       status.(v) <- Running;
       let ctx = mk_ctx v in
-      Effect.Deep.match_with (fun () -> returns.(v) <- Some (body ctx)) () (handler v)
+      Effect.Deep.match_with
+        (fun () ->
+          returns.(v) <- Some (body ctx);
+          v)
+        () handler
     in
     let recv_count = Array.make nn 0 in
     let recv_msg : M.t option array = Array.make nn None in
@@ -1205,20 +1308,21 @@ module Make (M : MESSAGE) = struct
                dual u)
            broadcasters;
          (* 5. Receives for every live fiber — parked idlers count towards
-            deliveries/collisions but discard the payload. *)
+            deliveries/collisions but discard the payload; listeners keep
+            it like synced fibers. *)
          for v = 0 to nn - 1 do
            receives.(v) <- Silence;
            match pending.(v) with
            | No_fiber -> ()
-           | Synced _ | Idling _ ->
+           | Synced _ | Idling _ | Listening _ ->
              if sends.(v) <> None then receives.(v) <- Own
              else if recv_count.(v) = 1 then begin
                (match pending.(v) with
-               | Synced _ -> (
+               | Synced _ | Listening _ -> (
                  match recv_msg.(v) with
                  | Some m -> receives.(v) <- Recv m
                  | None -> assert false)
-               | _ -> ());
+               | Idling _ | No_fiber -> ());
                incr deliveries
              end
              else if recv_count.(v) >= 2 then incr collisions
@@ -1229,7 +1333,11 @@ module Make (M : MESSAGE) = struct
              recv_msg.(v) <- None)
            !touched;
          touched := [];
-         (* 6. Resume synced fibers, then idlers whose stretch ends now. *)
+         (* 6. Resume synced fibers, then parked fibers whose stretch ends
+            now and listeners that received (round by round, a listener
+            is a silent sync that returns at its first [Recv]).  Fibers
+            parked by step one start at round r+1, so step two skips
+            them. *)
          idle_base := r + 1;
          for v = 0 to nn - 1 do
            match pending.(v) with
@@ -1237,13 +1345,23 @@ module Make (M : MESSAGE) = struct
              sends.(v) <- None;
              pending.(v) <- No_fiber;
              Effect.Deep.continue k receives.(v)
-           | Idling _ | No_fiber -> sends.(v) <- None
+           | Idling _ | Listening _ | No_fiber -> sends.(v) <- None
          done;
          for v = 0 to nn - 1 do
            match pending.(v) with
            | Idling k when resume_round.(v) = r ->
              pending.(v) <- No_fiber;
              Effect.Deep.continue k ()
+           | Listening k when listen_from.(v) <= r -> (
+             match receives.(v) with
+             | Recv m ->
+               pending.(v) <- No_fiber;
+               Effect.Deep.continue k (Some (r - listen_from.(v) + 1, m))
+             | Own | Silence ->
+               if resume_round.(v) = r then begin
+                 pending.(v) <- No_fiber;
+                 Effect.Deep.continue k None
+               end)
            | _ -> ()
          done;
          match cfg.observer with

@@ -101,12 +101,14 @@ module Make (M : MESSAGE) : sig
     resume_shards : int;
         (** resume-phase sharding (≥ 1).  With [resume_shards > 1] (and
             no [sink]), each round in which at least 1024 fibers await
-            their receive — enough to amortise the Pool dispatch — cuts
+            their receive (synced fibers plus listeners woken by a
+            reception) — enough to amortise the Pool dispatch — cuts
             its fiber work list (the synced fibers in worklist order,
-            then the idlers due this round in heap-pop order) into
+            the woken listeners, then the parked fibers due this round
+            in heap-pop order) into
             contiguous slices stepped in parallel on {!Rn_util.Pool}
             domains (OCaml 5 continuations are not domain-pinned).
-            Every shard collects its broadcast intents, idle-parkings,
+            Every shard collects its broadcast intents, parkings,
             and finish/decide counts into a private preallocated buffer;
             the main domain merges the buffers in ascending shard order.
             Steps are independent because per-process RNG streams are
@@ -173,8 +175,23 @@ module Make (M : MESSAGE) : sig
   (** [idle ctx k]: listen for [k] rounds, discarding receives.
       Semantically identical to [k] silent syncs, but performed as a single
       effect so the engine can park the fiber for the whole stretch (and
-      fast-forward rounds in which no fiber is live at all). *)
+      fast-forward rounds in which no fiber is live at all).  [k <= 0]
+      returns at once, performing no effect. *)
   val idle : ctx -> int -> unit
+
+  (** [listen ctx ~upto:k]: up to [k] silent syncs that stop after the
+      first [Recv].  Returns [Some (j, m)] when the [j]-th of those rounds
+      ([1 <= j <= k]) delivered [m], else [None] after [k] rounds;
+      {!round} advances by [j] or [k].  Semantically identical to the
+      loop of [sync ctx None], but performed as a single effect: the fiber
+      parks like an idler and the delivery phase wakes it only on a
+      reception, so rounds it spends hearing [Silence] cost no resume
+      (and, when every other fiber is parked too, are fast-forwarded).
+      A reception in the [k]-th round returns [Some (k, m)].  [k <= 0]
+      returns [None] at once, performing no effect, like {!idle}.
+      Stretches too long for the round counter never end by themselves:
+      [listen ~upto:max_int] waits for a reception or the run's stop. *)
+  val listen : ctx -> upto:int -> (int * M.t) option
 
   (** Broadcast with probability [p], else listen. *)
   val sync_p : ctx -> float -> M.t -> receive
@@ -192,8 +209,12 @@ module Make (M : MESSAGE) : sig
       [max_rounds], setting [timed_out]).
 
       The round loop costs O(activity) per round: live fibers sit in a
-      worklist, wake rounds are pre-bucketed, idling fibers park in a heap,
-      and stretches of silent rounds are skipped outright.  The adversary's
+      worklist, wake rounds are pre-bucketed, idling and listening fibers
+      park in a heap (a listener is resumed only in the round it receives
+      or its stretch ends), and stretches of rounds in which no fiber is
+      live are skipped outright — so a listen-only stretch costs neither
+      resumes nor, when nobody else runs, round iterations.  One effect
+      handler serves every fiber of a run.  The adversary's
       RNG is derived per round from the seed, which is what makes the skip
       sound.  If the detector declares [stabilizes_at], queries after the
       stabilisation round are served from a cache — detectors whose [at]

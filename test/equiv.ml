@@ -181,12 +181,22 @@ let config_of ?sink ?(st = auto) s =
     ?sink ~kernel:st.kernel ~adv_kernel:st.adv_kernel ~shards:st.shards
     ~resume_shards:st.resume_shards ~detector:(detector_of s.dual) s.dual
 
+(* [listen ~upto:k] spelled out as the silent syncs it stands for:
+   stop after the first [Recv]. *)
+let unrolled_listen ctx ~upto =
+  let rec go j =
+    if j > upto then None
+    else match E.sync ctx None with E.Recv m -> Some (j, m) | E.Own | E.Silence -> go (j + 1)
+  in
+  go 1
+
 (* A scripted body drawing its actions from the process RNG: broadcast,
-   listen, batched idle, decide — logging every receive, so any delivery
-   divergence shows up in [returns].  With [unroll_idle] the idle
-   stretch is replaced by the equivalent sequence of silent syncs, which
-   must not change anything observable. *)
-let random_body ?(unroll_idle = false) ~steps ~max_idle ctx =
+   listen, batched idle, listen-until-received, decide — logging every
+   receive and every listen outcome, so any delivery divergence shows up
+   in [returns].  With [unroll] the idle and listen stretches are
+   replaced by the equivalent sequences of silent syncs, which must not
+   change anything observable. *)
+let random_body ?(unroll = false) ~steps ~max_idle ctx =
   let rng = E.rng ctx in
   let me = E.me ctx in
   let log = ref [] in
@@ -200,13 +210,18 @@ let random_body ?(unroll_idle = false) ~steps ~max_idle ctx =
     match Rng.int rng 6 with
     | 0 | 1 -> note (E.sync ctx (Some me))
     | 2 | 3 -> note (E.sync ctx None)
-    | 4 ->
+    | 4 -> (
       let k = 1 + Rng.int rng max_idle in
-      if unroll_idle then
-        for _ = 1 to k do
-          ignore (E.sync ctx None)
-        done
-      else E.idle ctx k
+      if Rng.bool rng 0.5 then
+        if unroll then
+          for _ = 1 to k do
+            ignore (E.sync ctx None)
+          done
+        else E.idle ctx k
+      else
+        match (if unroll then unrolled_listen else E.listen) ctx ~upto:k with
+        | Some (j, m) -> log := m :: (-10 - j) :: !log
+        | None -> log := -2 :: !log)
     | _ ->
       if (not !decided) && Rng.int rng 3 = 0 then begin
         decided := true;
@@ -217,6 +232,7 @@ let random_body ?(unroll_idle = false) ~steps ~max_idle ctx =
   (!log, E.round ctx)
 
 let strategy_body = random_body ~steps:14 ~max_idle:4
+let strategy_body_unrolled = random_body ~unroll:true ~steps:14 ~max_idle:4
 
 let counter snap name =
   Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters)
@@ -236,10 +252,12 @@ let radio_config ?(st = auto) s ~stop =
 let mis_body ctx = Core.Mis.body Core.Params.default ctx
 let mis_stop s = R.At_round (Core.Mis.schedule_rounds Core.Params.default ~n:(Dual.n s.dual))
 
-(* Every strategy of the family [arb] against the all-scalar run and the
-   oracle.  One case in [circulant_every] is the n = 1300 circulant, on
-   which the resume-shard gate must both engage and decline within the
-   run. *)
+(* Every strategy of the family [arb] against the all-scalar run, the
+   oracle, and the same strategy on the body with its idle and listen
+   stretches unrolled into silent syncs.  One case in [circulant_every]
+   is the n = 1300 circulant, on which the resume-shard gate must both
+   engage and decline within the run (and sharded rounds wake
+   listeners). *)
 let prop_strategy ?(circulant_every = 16) ~name ~count arb =
   QCheck.Test.make ~name ~count
     QCheck.(pair (int_bound 100_000) arb)
@@ -248,10 +266,14 @@ let prop_strategy ?(circulant_every = 16) ~name ~count arb =
       let strat, snap = with_metrics (fun () -> E.run (config_of ~st s) strategy_body) in
       let scalar = E.run (config_of ~st:all_scalar s) strategy_body in
       let oracle = E.run_reference (config_of s) strategy_body in
+      let unrolled = E.run (config_of ~st s) strategy_body_unrolled in
       if strat <> scalar then
         QCheck.Test.fail_reportf "%s <> all-scalar: %s" (pp_strategy st) (pp_scenario s);
       if scalar <> oracle then
         QCheck.Test.fail_reportf "all-scalar <> run_reference: %s" (pp_scenario s);
+      if strat <> unrolled then
+        QCheck.Test.fail_reportf "%s: listen/idle <> unrolled silent syncs: %s" (pp_strategy st)
+          (pp_scenario s);
       let sharded = counter snap "engine.resume_sharded_rounds" in
       let straddled = 0 < sharded && sharded < strat.E.rounds in
       if s.shape = "circulant" && st.resume_shards > 1 && not straddled then

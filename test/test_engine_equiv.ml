@@ -5,7 +5,8 @@
    [timed_out] — with [Engine.run_reference], the straightforward
    full-scan loop, across random graphs, seeds, wake schedules,
    adversaries, stop conditions and bodies (scripted send/listen/idle
-   mixes, MIS, TDMA/CCDS, flooding).  The delivery kernel is certified
+   mixes, MIS, TDMA/CCDS, flooding); [idle] and [listen ~upto] must
+   equal the silent-sync loops they stand for.  The delivery kernel is certified
    here too; the other evaluation strategies have their own suites over
    the same scaffolding ([Equiv]). *)
 
@@ -22,15 +23,16 @@ let prop_random_bodies =
       let body = random_body ~steps:12 ~max_idle:6 in
       let fast = E.run cfg body in
       let oracle = E.run_reference cfg body in
-      let unrolled = E.run cfg (random_body ~unroll_idle:true ~steps:12 ~max_idle:6) in
+      let unrolled = E.run cfg (random_body ~unroll:true ~steps:12 ~max_idle:6) in
       if fast <> oracle then QCheck.Test.fail_reportf "run <> run_reference: %s" (pp_scenario s);
       if fast <> unrolled then
-        QCheck.Test.fail_reportf "idle <> unrolled silent syncs: %s" (pp_scenario s);
+        QCheck.Test.fail_reportf "idle/listen <> unrolled silent syncs: %s" (pp_scenario s);
       true)
 
-(* Sparse wakes and long idles: the engine fast-forwards whole stretches of
-   silent rounds in one jump; the reference grinds through each round (and
-   consults the adversary in all of them).  Results must still match. *)
+(* Sparse wakes, long idles and long listens: the engine fast-forwards
+   whole stretches of silent rounds in one jump; the reference grinds
+   through each round (and consults the adversary in all of them), and
+   the unrolled body syncs through them.  Results must still match. *)
 let prop_fast_forward =
   QCheck.Test.make ~name:"silent-round fast-forward never changes results" ~count:60
     QCheck.(small_nat)
@@ -38,19 +40,25 @@ let prop_fast_forward =
       let s = scenario_of ~max_wake:400 ~max_rounds:3_000 case in
       let s = { s with stop = Rn_sim.Engine.All_done } in
       let cfg = config_of s in
-      let body ctx =
+      let body listen ctx =
         let rng = E.rng ctx in
-        let heard = ref 0 in
+        let heard = ref [] in
         for _ = 1 to 3 do
           E.idle ctx (20 + Rng.int rng 200);
-          (match E.sync ctx (Some (E.me ctx)) with E.Recv _ -> incr heard | _ -> ());
-          match E.sync ctx None with E.Recv _ -> incr heard | _ -> ()
+          (match E.sync ctx (Some (E.me ctx)) with E.Recv m -> heard := m :: !heard | _ -> ());
+          (match E.sync ctx None with E.Recv m -> heard := m :: !heard | _ -> ());
+          match listen ctx ~upto:(20 + Rng.int rng 300) with
+          | Some (j, m) -> heard := m :: j :: !heard
+          | None -> heard := -1 :: !heard
         done;
         !heard
       in
-      let fast = E.run cfg body in
-      let oracle = E.run_reference cfg body in
+      let fast = E.run cfg (body E.listen) in
+      let oracle = E.run_reference cfg (body E.listen) in
+      let unrolled = E.run cfg (body unrolled_listen) in
       if fast <> oracle then QCheck.Test.fail_reportf "fast-forward mismatch: %s" (pp_scenario s);
+      if fast <> unrolled then
+        QCheck.Test.fail_reportf "listen <> unrolled silent syncs: %s" (pp_scenario s);
       if fast.E.stats.silent_rounds <> oracle.E.stats.silent_rounds then
         QCheck.Test.fail_reportf "silent_rounds mismatch: %s" (pp_scenario s);
       true)
@@ -157,6 +165,38 @@ let test_idle_past_stop () =
   Alcotest.(check int) "stopped at 10" 10 fast.E.rounds;
   Alcotest.(check bool) "no return yet" true (fast.E.returns = [| None; None |])
 
+(* A stretch too long for the round counter must not wrap its heap key:
+   a negative key would sit at the heap top, never come due, and starve
+   every other parked fiber.  Fiber 0 parks "forever" in round 2; fibers
+   1 and 2 idle two rounds and then broadcast in round 3. *)
+let test_park_key_saturates () =
+  let clique3 = Dual.classic (Gen.clique 3) in
+  let cfg = E.config ~stop:(Rn_sim.Engine.At_round 10) ~detector:(detector_of clique3) clique3 in
+  List.iter
+    (fun (name, forever) ->
+      let body ctx =
+        if E.me ctx = 0 then begin
+          ignore (E.sync ctx None);
+          forever ctx;
+          E.round ctx
+        end
+        else begin
+          E.idle ctx 2;
+          ignore (E.sync ctx (Some (E.me ctx)));
+          E.round ctx
+        end
+      in
+      let fast = E.run cfg body in
+      let oracle = E.run_reference cfg body in
+      Alcotest.(check bool) (name ^ ": identical results") true (fast = oracle);
+      Alcotest.(check (array (option int)))
+        (name ^ ": broadcasters returned") [| None; Some 3; Some 3 |] fast.E.returns;
+      Alcotest.(check int) (name ^ ": sends") 2 fast.E.stats.sends)
+    [
+      ("idle max_int", fun ctx -> E.idle ctx max_int);
+      ("listen max_int", fun ctx -> ignore (E.listen ctx ~upto:max_int));
+    ]
+
 let test_observer_disables_jump () =
   (* With an observer every round must be materialised and observed. *)
   let seen = ref [] in
@@ -169,6 +209,94 @@ let test_observer_disables_jump () =
   ignore (E.run cfg body);
   Alcotest.(check (list (pair int int)))
     "observer saw every round" [ (1, 1); (2, 0); (3, 0); (4, 0); (5, 1) ] (List.rev !seen)
+
+(* --- listen ---------------------------------------------------------------- *)
+
+(* [check_listen] runs [body] under [cfg] through [run] (with metrics),
+   [run_reference] and every delivery path, and returns the fast result
+   and its metrics snapshot. *)
+let check_listen ~name cfg body =
+  let fast, snap = with_metrics (fun () -> E.run cfg body) in
+  Alcotest.(check bool) (name ^ ": = run_reference") true (fast = E.run_reference cfg body);
+  List.iter
+    (fun kernel ->
+      Alcotest.(check bool)
+        (name ^ ": kernel path")
+        true
+        (E.run { cfg with E.kernel } body = fast))
+    [ `On; `Off ];
+  Alcotest.(check bool)
+    (name ^ ": sharded path")
+    true
+    (E.run { cfg with E.shards = 2 } body = fast);
+  (fast, snap)
+
+(* Fiber 1 listens for 3 rounds; fiber 0 idles 2 and broadcasts in round
+   3, the listen's last round: a reception there is [Some (3, _)], not a
+   timeout, and wakes the listener once. *)
+let test_listen_last_round () =
+  let cfg = E.config ~detector:(detector_of path2) path2 in
+  let body ctx =
+    if E.me ctx = 0 then begin
+      E.idle ctx 2;
+      ignore (E.sync ctx (Some 7));
+      (None, E.round ctx)
+    end
+    else
+      let r = E.listen ctx ~upto:3 in
+      (r, E.round ctx)
+  in
+  let fast, snap = check_listen ~name:"last round" cfg body in
+  Alcotest.(check (option (pair (option (pair int int)) int)))
+    "received in round 3" (Some (Some (3, 7), 3)) fast.E.returns.(1);
+  Alcotest.(check int) "one listen wake" 1 (counter snap "engine.listen_wakes");
+  (* fiber 0: one idle end, one sync; fiber 1: one wake *)
+  Alcotest.(check int) "fiber steps" 3 (counter snap "engine.fiber_steps")
+
+(* Fiber 1 wakes in round 4 and listens at once: round 4 is the first
+   round of its stretch, and fiber 0's broadcast in it is [Some (1, _)]. *)
+let test_listen_in_wake_round () =
+  let cfg = E.config ~wake:[| 1; 4 |] ~detector:(detector_of path2) path2 in
+  let body ctx =
+    if E.me ctx = 0 then begin
+      E.idle ctx 3;
+      ignore (E.sync ctx (Some 5));
+      None
+    end
+    else E.listen ctx ~upto:10
+  in
+  let fast, _ = check_listen ~name:"wake round" cfg body in
+  Alcotest.(check (option (option (pair int int))))
+    "received in its first round" (Some (Some (1, 5))) fast.E.returns.(1);
+  Alcotest.(check int) "run ends in round 4" 4 fast.E.rounds
+
+(* A run stopped by [At_round] inside a listen: the fiber never returns,
+   and the silent stretch is fast-forwarded yet counted. *)
+let test_listen_past_stop () =
+  let cfg = E.config ~stop:(Rn_sim.Engine.At_round 10) ~detector:(detector_of path2) path2 in
+  let body ctx =
+    ignore (E.sync ctx (Some (E.me ctx)));
+    E.listen ctx ~upto:1_000
+  in
+  let fast, _ = check_listen ~name:"past stop" cfg body in
+  Alcotest.(check int) "stopped at 10" 10 fast.E.rounds;
+  Alcotest.(check bool) "no return yet" true (fast.E.returns = [| None; None |]);
+  Alcotest.(check int) "silent rounds counted" 9 fast.E.stats.silent_rounds
+
+(* [upto <= 0] is [None] with no effect performed, like [idle 0]: the
+   fiber returns in its wake step and nothing is ever resumed. *)
+let test_listen_nonpositive () =
+  let cfg = E.config ~detector:(detector_of path2) path2 in
+  let body ctx =
+    let a = E.listen ctx ~upto:0 in
+    let b = E.listen ctx ~upto:(-3) in
+    E.idle ctx 0;
+    (a, b, E.round ctx)
+  in
+  let fast, snap = check_listen ~name:"upto <= 0" cfg body in
+  Alcotest.(check bool) "None, None, round 0" true
+    (fast.E.returns = [| Some (None, None, 0); Some (None, None, 0) |]);
+  Alcotest.(check int) "no continuation resumed" 0 (counter snap "engine.fiber_steps")
 
 (* --- delivery kernel ---------------------------------------------------- *)
 
@@ -208,6 +336,14 @@ let () =
           Alcotest.test_case "far wake jump" `Quick test_far_wake_jump;
           Alcotest.test_case "idle past stop" `Quick test_idle_past_stop;
           Alcotest.test_case "observer disables jump" `Quick test_observer_disables_jump;
+          Alcotest.test_case "park key saturates" `Quick test_park_key_saturates;
+        ] );
+      ( "listen",
+        [
+          Alcotest.test_case "reception in the last round" `Quick test_listen_last_round;
+          Alcotest.test_case "listen in the wake round" `Quick test_listen_in_wake_round;
+          Alcotest.test_case "listen past stop" `Quick test_listen_past_stop;
+          Alcotest.test_case "upto <= 0 performs no effect" `Quick test_listen_nonpositive;
         ] );
       ( "delivery",
         [

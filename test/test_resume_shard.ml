@@ -27,8 +27,9 @@ let prop_resume_traced_forcing =
       true)
 
 (* Fixed-seed twin of the circulant family: 3 and 4 resume shards do
-   not divide the live-fiber count, so slices are uneven, and the gate
-   must engage in some rounds and decline in others. *)
+   not divide the live-fiber count, so slices are uneven, the gate must
+   engage in some rounds and decline in others, and receptions wake
+   parked listeners. *)
 let test_resume_n1300 () =
   let s =
     {
@@ -55,7 +56,8 @@ let test_resume_n1300 () =
       Alcotest.(check bool)
         (Printf.sprintf "gate engaged in %d of %d rounds" sharded r.E.rounds)
         true
-        (0 < sharded && sharded < r.E.rounds))
+        (0 < sharded && sharded < r.E.rounds);
+      Alcotest.(check bool) "listeners woken" true (counter snap "engine.listen_wakes" > 0))
     [ 3; 4 ]
 
 let test_resume_config_validation () =
