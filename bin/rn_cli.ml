@@ -42,8 +42,29 @@ let kernel_mode_of_string ~flag s =
     Printf.eprintf "rn_cli: bad %s %S (want auto|on|off)\n" flag s;
     exit 2
 
-let n_arg = Arg.(value & opt int 128 & info [ "n"; "nodes" ] ~doc:"Network size.")
-let degree_arg = Arg.(value & opt int 12 & info [ "degree" ] ~doc:"Target reliable degree.")
+(* An int option with a lower bound, checked at parse time so a bad value
+   is a usage error rather than an exception deep in world building. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some _ -> Error (`Msg (Printf.sprintf "must be at least %d" lo))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let n_arg =
+  Arg.(
+    value
+    & opt (int_at_least 2) 128
+    & info [ "n"; "nodes" ] ~doc:"Network size (at least 2).")
+
+let degree_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) 12
+    & info [ "degree" ] ~doc:"Target reliable degree (at least 1).")
+
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Experiment seed.")
 let tau_arg = Arg.(value & opt int 0 & info [ "tau" ] ~doc:"Detector completeness parameter.")
 
@@ -732,8 +753,12 @@ let scenario_cmd =
 (* --- figures command --- *)
 
 let run_figures out =
-  let paths = Rn_harness.Figures.write_all out in
-  List.iter (fun p -> Printf.printf "wrote %s\n" p) paths
+  match Rn_harness.Figures.write_all out with
+  | paths -> List.iter (fun p -> Printf.printf "wrote %s\n" p) paths
+  | exception Sys_error msg ->
+    (* [msg] names the path that failed: the directory or a file in it *)
+    Printf.eprintf "rn_cli figures: %s\n" msg;
+    exit 2
 
 let out_arg =
   Arg.(value & opt string "plots" & info [ "out" ] ~doc:"Output directory for SVG figures.")
@@ -745,12 +770,8 @@ let figures_cmd =
 
 (* --- scale command --- *)
 
-let run_scale full out sizes shards kernel adv_kernel resume_shards adversary check =
+let run_scale full out sizes kernel adv_kernel resume_shards adversary check =
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
-  if shards < 1 then begin
-    Printf.eprintf "rn_cli scale: --shards must be >= 1\n";
-    exit 2
-  end;
   if resume_shards < 1 then begin
     Printf.eprintf "rn_cli scale: --resume-shards must be >= 1\n";
     exit 2
@@ -775,7 +796,7 @@ let run_scale full out sizes shards kernel adv_kernel resume_shards adversary ch
         exit 2)
   in
   Rn_harness.Harness.print
-    (Rn_harness.Exp_scale.run ?out ?sizes ~shards ~kernel ~adv_kernel ~resume_shards
+    (Rn_harness.Exp_scale.run ?out ?sizes ~kernel ~adv_kernel ~resume_shards
        ~adversary ~check scale)
 
 let scale_out_arg =
@@ -790,14 +811,6 @@ let scale_sizes_arg =
     & opt (some string) None
     & info [ "sizes" ] ~docv:"CSV"
         ~doc:"Override the size grid with a comma-separated list of n values.")
-
-let scale_shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Shard each round's delivery scatter across N domains. Results are \
-           byte-identical at any shard count.")
 
 let scale_kernel_arg =
   Arg.(
@@ -836,7 +849,7 @@ let scale_check_arg =
     & info [ "check" ]
         ~doc:
           "Print only the deterministic columns (counts, no timings), suitable for \
-           byte-comparison across --shards/--kernel settings.")
+           byte-comparison across --kernel/--adv-kernel/--resume-shards settings.")
 
 let scale_cmd =
   Cmd.v
@@ -847,8 +860,8 @@ let scale_cmd =
           goes to n=1048576. Timings are machine-dependent, so this never touches the \
           result store.")
     Term.(
-      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg $ scale_shards_arg
-      $ scale_kernel_arg $ scale_adv_kernel_arg $ scale_resume_shards_arg
+      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg $ scale_kernel_arg
+      $ scale_adv_kernel_arg $ scale_resume_shards_arg
       $ scale_adversary_arg $ scale_check_arg)
 
 (* --- graph command --- *)
@@ -1004,7 +1017,7 @@ let run_trace_cell exp coord full store_dir out =
   if Rn_harness.All.find exp = None then begin
     Printf.eprintf "rn_cli: unknown experiment %s (known: %s)\n" exp
       (String.concat ", " Rn_harness.All.ids);
-    exit 1
+    exit 2
   end;
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
   let store = Store.open_ store_dir in

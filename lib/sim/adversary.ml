@@ -37,13 +37,7 @@
 
    A kernel must produce bit-for-bit the activation set of its scalar
    [choose] (certified by test_engine_equiv.ml), which is what lets
-   the engine switch per round on a cost model.  With [shards > 1] the
-   scratch carries private per-shard accumulators and a runner supplied
-   by the engine's Pool; contributions are merged in fixed shard order
-   ([Bitset.union_into] for activation masks, [Bitset.acc2_merge_into]
-   for the once/twice pairs), and since OR and the accumulator pair are
-   pure functions of the contribution multiset the sharded result is
-   byte-identical to the sequential one. *)
+   the engine switch per round on a cost model. *)
 
 module Bitset = Rn_util.Bitset
 module Rng = Rn_util.Rng
@@ -51,45 +45,17 @@ module Graph = Rn_graph.Graph
 module Dual = Rn_graph.Dual
 
 (* Preallocated scratch for the kernel path, one per engine run (built
-   lazily on the first kernel round).  [sc_run] applies a function to
-   every shard index — in parallel on the engine's Pool domains when
-   sharding, inline otherwise.  [sc_bcast] must be empty between rounds
-   (policies restore it by removing what they added). *)
+   lazily on the first kernel round).  [sc_bcast] must be empty between
+   rounds (policies restore it by removing what they added). *)
 type scratch = {
-  sc_shards : int;
-  sc_run : (int -> unit) -> unit;
   sc_bcast : Bitset.t; (* capacity n *)
   sc_once : Bitset.t; (* capacity n *)
   sc_twice : Bitset.t; (* capacity n *)
-  sc_gray : Bitset.t array; (* per-shard activation masks (capacity gray) *)
-  sc_once_s : Bitset.t array; (* per-shard once/twice pairs (capacity n) *)
-  sc_twice_s : Bitset.t array;
 }
 
-let make_scratch ?(shards = 1) ?run_shards dual =
-  let shards = max 1 shards in
+let make_scratch dual =
   let n = Dual.n dual in
-  let ng = max 1 (Dual.gray_count dual) in
-  let sc_run =
-    match run_shards with
-    | Some r when shards > 1 -> r
-    | _ ->
-      fun f ->
-        for s = 0 to shards - 1 do
-          f s
-        done
-  in
-  let arr cap = if shards > 1 then Array.init shards (fun _ -> Bitset.create cap) else [||] in
-  {
-    sc_shards = shards;
-    sc_run;
-    sc_bcast = Bitset.create n;
-    sc_once = Bitset.create n;
-    sc_twice = Bitset.create n;
-    sc_gray = arr ng;
-    sc_once_s = arr n;
-    sc_twice_s = arr n;
-  }
+  { sc_bcast = Bitset.create n; sc_once = Bitset.create n; sc_twice = Bitset.create n }
 
 type choose_fn =
   round:int -> broadcasters:int array -> Dual.t -> Rng.t -> Bitset.t -> unit
@@ -131,30 +97,14 @@ let silent = { name = "silent"; choose = (fun ~round:_ ~broadcasters:_ _ _ _ -> 
 
 (* Shared by [all_gray] and [spiteful]: activate every gray edge incident
    to a broadcaster, as one contiguous lower-range fill plus the
-   scattered upper ids per broadcaster.  Sharded: contiguous slices of
-   the sorted broadcaster array into private masks, merged by OR in
-   fixed shard order (any order gives the same bytes). *)
-let or_rows_masks ~broadcasters dual scratch active =
-  let nb = Array.length broadcasters in
-  let fill_slice into lo hi =
-    for i = lo to hi - 1 do
-      let u = Array.unsafe_get broadcasters i in
-      let l0, l1 = Dual.gray_lower_range dual u in
-      Bitset.fill_range into l0 l1;
-      Dual.iter_gray_upper (fun id -> Bitset.add into id) dual u
-    done
-  in
-  if scratch.sc_shards > 1 && nb >= 2 * scratch.sc_shards then begin
-    let shards = scratch.sc_shards in
-    scratch.sc_run (fun s ->
-        let acc = scratch.sc_gray.(s) in
-        Bitset.clear acc;
-        fill_slice acc (s * nb / shards) ((s + 1) * nb / shards));
-    for s = 0 to shards - 1 do
-      Bitset.union_into ~into:active scratch.sc_gray.(s)
-    done
-  end
-  else fill_slice active 0 nb
+   scattered upper ids per broadcaster. *)
+let or_rows_masks ~broadcasters dual active =
+  for i = 0 to Array.length broadcasters - 1 do
+    let u = Array.unsafe_get broadcasters i in
+    let l0, l1 = Dual.gray_lower_range dual u in
+    Bitset.fill_range active l0 l1;
+    Dual.iter_gray_upper (fun id -> Bitset.add active id) dual u
+  done
 
 (* Mask path pays once per broadcaster (range fill) plus once per
    upper-side incidence; scalar pays the full incidence with a div/mod
@@ -177,8 +127,8 @@ let all_gray =
       Some
         {
           k_choose =
-            (fun ~round:_ ~broadcasters dual _ scratch active ->
-              or_rows_masks ~broadcasters dual scratch active);
+            (fun ~round:_ ~broadcasters dual _ _ active ->
+              or_rows_masks ~broadcasters dual active);
           k_wins = dense_enough;
         };
   }
@@ -249,9 +199,8 @@ let spiteful =
       Some
         {
           k_choose =
-            (fun ~round:_ ~broadcasters dual _ scratch active ->
-              if Array.length broadcasters >= 2 then
-                or_rows_masks ~broadcasters dual scratch active);
+            (fun ~round:_ ~broadcasters dual _ _ active ->
+              if Array.length broadcasters >= 2 then or_rows_masks ~broadcasters dual active);
           k_wins =
             (fun ~broadcasters dual ->
               Array.length broadcasters >= 2 && dense_enough ~broadcasters dual);
@@ -324,28 +273,9 @@ let jamming =
               Bitset.clear once;
               Bitset.clear twice;
               Array.iter (fun u -> Bitset.add bcast u) broadcasters;
-              let nb = Array.length broadcasters in
-              if scratch.sc_shards > 1 && nb >= 2 * scratch.sc_shards then begin
-                let shards = scratch.sc_shards in
-                scratch.sc_run (fun s ->
-                    let o = scratch.sc_once_s.(s) and t2 = scratch.sc_twice_s.(s) in
-                    Bitset.clear o;
-                    Bitset.clear t2;
-                    for i = s * nb / shards to (((s + 1) * nb) / shards) - 1 do
-                      Graph.iter_neighbors
-                        (fun v -> Bitset.acc2_add ~once:o ~twice:t2 v)
-                        g broadcasters.(i)
-                    done);
-                for s = 0 to shards - 1 do
-                  Bitset.acc2_merge_into ~once ~twice ~src_once:scratch.sc_once_s.(s)
-                    ~src_twice:scratch.sc_twice_s.(s)
-                done
-              end
-              else
-                Array.iter
-                  (fun u ->
-                    Graph.iter_neighbors (fun v -> Bitset.acc2_add ~once ~twice v) g u)
-                  broadcasters;
+              Array.iter
+                (fun u -> Graph.iter_neighbors (fun v -> Bitset.acc2_add ~once ~twice v) g u)
+                broadcasters;
               (* victims = once ∧ ¬twice ∧ ¬bcast, read off word-parallel
                  in ascending order — the same order, and per victim the
                  same gray edge, as the scalar n-scan *)

@@ -25,17 +25,12 @@ val choose :
     callbacks, mirroring the engine's delivery kernel.  Randomised
     policies ({!bernoulli}, {!harassing}) have none: their per-edge draw
     sequence IS the semantics.  A kernel is certified byte-identical to
-    its scalar [choose] at any shard count. *)
+    its scalar [choose]. *)
 
-(** Preallocated per-run kernel scratch.  [shards > 1] additionally
-    allocates private per-shard accumulators; [run_shards] (used only
-    when [shards > 1]) must apply its argument to every shard index in
-    [0, shards) — typically on the engine's domain pool — and return
-    once all have finished. *)
+(** Preallocated per-run kernel scratch. *)
 type scratch
 
-val make_scratch :
-  ?shards:int -> ?run_shards:((int -> unit) -> unit) -> Rn_graph.Dual.t -> scratch
+val make_scratch : Rn_graph.Dual.t -> scratch
 
 val has_kernel : t -> bool
 

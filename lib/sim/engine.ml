@@ -21,9 +21,8 @@
      min-heap keyed by resume round instead of being resumed k times;
      fibers that listen for up to k rounds ([listen]) park in the same
      heap and are woken early by the delivery phase — whichever path
-     (scalar touches, dense kernel, sharded scatter) computes the round —
-     only when they receive, so listen-only rounds cost no continuation
-     switch;
+     (scalar touches or dense kernel) computes the round — only when they
+     receive, so listen-only rounds cost no continuation switch;
    - one effect handler serves every fiber of a run: effects carry the
      performing fiber's id, so no per-fiber closures are built;
    - the adversary RNG is re-derived per round from a root stream
@@ -66,7 +65,6 @@ let m_deliveries = Metrics.counter "engine.deliveries"
 let m_collisions = Metrics.counter "engine.collisions"
 let m_bits_sent = Metrics.counter "engine.bits_sent"
 let m_silent_rounds = Metrics.counter "engine.silent_rounds"
-let m_sharded_rounds = Metrics.counter "engine.sharded_rounds"
 let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
 
 (* Resume-shard counters are recorded on the *calling* domain after the
@@ -179,21 +177,13 @@ module Make (M : MESSAGE) = struct
            model, `On forces it whenever legal, `Off never uses it.  A
            sink always forces the scalar path (the kernel cannot emit
            per-receiver events); results are identical either way. *)
-    shards : int;
-        (* intra-run delivery sharding: with [shards > 1] (and the
-           kernel not [`Off], no sink), each broadcasting round's
-           once/twice accumulation is partitioned across this many Pool
-           domains and merged in fixed shard order.  Pure evaluation
-           strategy — results are byte-identical at any shard count. *)
     adv_kernel : [ `Auto | `On | `Off ];
         (* word-parallel adversary kernel (mask algebra for the
            deterministic policies): `Auto switches per round on the
            policy's own cost model, `On forces it whenever the policy
            has one, `Off never uses it.  A sink forces the scalar path,
-           like [kernel].  Shares [shards]: with [shards > 1] the mask
-           accumulation is partitioned across the same Pool domains.
-           Results are byte-identical at any setting (certified by
-           test_adversary_kernel). *)
+           like [kernel].  Results are byte-identical at any setting
+           (certified by test_adversary_kernel). *)
     resume_shards : int;
         (* resume-phase sharding: with [resume_shards > 1] (and no sink),
            each round whose synced plus woken-listener count clears
@@ -209,11 +199,13 @@ module Make (M : MESSAGE) = struct
            order). *)
   }
 
+  (* [?shards] is accepted and ignored: delivery and the adversary run on
+     the calling domain.  The label stays only because the benchmark
+     harness (perfbench/strategy.ml, perfbench/beacon.ml) still passes it. *)
   let config ?(adversary = Adversary.silent) ?(seed = 0) ?b_bits ?(delta_bound = 0)
       ?wake ?(stop = All_done) ?(max_rounds = 2_000_000) ?observer ?sink
-      ?(kernel = `Auto) ?(shards = 1) ?(adv_kernel = `Auto) ?(resume_shards = 1) ~detector
-      dual =
-    if shards < 1 then invalid_arg "Engine.config: shards < 1";
+      ?(kernel = `Auto) ?shards:(_ : int option) ?(adv_kernel = `Auto) ?(resume_shards = 1)
+      ~detector dual =
     if resume_shards < 1 then invalid_arg "Engine.config: resume_shards < 1";
     (* No explicit sink: fall back to the process-wide ambient sink (the
        trace-on-demand hook).  Resolved here, once per config, so every
@@ -235,7 +227,6 @@ module Make (M : MESSAGE) = struct
       observer;
       sink;
       kernel;
-      shards;
       adv_kernel;
       resume_shards;
     }
@@ -574,30 +565,14 @@ module Make (M : MESSAGE) = struct
     let k_listen = Bitset.create nn in
     let k_recv = Bitset.create nn in
     let k_words = Bitset.word_count k_once in
-    (* Intra-run sharding: with [shards > 1], broadcasting rounds slice
-       the sorted broadcaster array into [shards] contiguous ranges and
-       scatter each slice's reach into a private accumulator pair on a
-       Pool domain.  The pool is created on the first sharded round and
-       shut down when the run ends; tracing and [`Off] fall back to one
-       shard (the scalar path emits per-receiver events, and [`Off]
-       promises no word-parallel evaluation at all). *)
-    let shards = if tracing || cfg.kernel = `Off then 1 else cfg.shards in
-    let shard_once =
-      if shards > 1 then Array.init shards (fun _ -> Bitset.create nn) else [||]
-    in
-    let shard_twice =
-      if shards > 1 then Array.init shards (fun _ -> Bitset.create nn) else [||]
-    in
-    (* The adversary kernel gates its sharding independently (it can run
-       sharded under [kernel = `Off], and vice versa); the Pool is shared
-       and sized for whichever path needs more domains. *)
-    let adv_shards = if tracing || cfg.adv_kernel = `Off then 1 else cfg.shards in
+    (* Domain pool for the sharded resume phase, created on its first
+       sharded round and shut down when the run ends. *)
     let pool = ref None in
     let get_pool () =
       match !pool with
       | Some p -> p
       | None ->
-        let p = Pool.create ~jobs:(max (max shards adv_shards) resume_shards) in
+        let p = Pool.create ~jobs:resume_shards in
         pool := Some p;
         p
     in
@@ -632,17 +607,12 @@ module Make (M : MESSAGE) = struct
       match !adv_scratch with
       | Some s -> s
       | None ->
-        let run_shards =
-          if adv_shards > 1 then
-            Some (fun f -> Pool.run_n (get_pool ()) f adv_shards)
-          else None
-        in
-        let s = Adversary.make_scratch ~shards:adv_shards ?run_shards dual in
+        let s = Adversary.make_scratch dual in
         adv_scratch := Some s;
         s
     in
-    (* Shared by the dense kernel and the sharded path: once the round's
-       (once, twice) pair sits in [k_once]/[k_twice], classify every node
+    (* The dense kernel's classify step: once the round's (once, twice)
+       pair sits in [k_once]/[k_twice], classify every node
        word-parallel — receives = once ∧ ¬twice ∧ listeners, collisions =
        twice ∧ listeners — update the counters, leave the receivers that
        take the payload (synced fibers and parked listeners) in [k_recv],
@@ -883,59 +853,7 @@ module Make (M : MESSAGE) = struct
                  done;
                  !reach > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
              in
-             if shards > 1 then begin
-               (* Sharded scatter: each Pool domain walks its contiguous
-                  slice of the sorted broadcaster array and scatters that
-                  slice's reach — CSR neighbors plus this round's active
-                  gray edges — into its private (once, twice) pair.  The
-                  pair is a pure function of the contribution multiset,
-                  so merging the shards (in fixed order, though any order
-                  gives the same bytes) reproduces the single-domain
-                  accumulators exactly; certified against the kernel,
-                  scalar, and reference paths by test_shard. *)
-               if met then Metrics.incr m_sharded_rounds;
-               let nb = !n_bcast in
-               Pool.run_n (get_pool ())
-                 (fun s ->
-                   let once = shard_once.(s) and twice = shard_twice.(s) in
-                   Bitset.clear once;
-                   Bitset.clear twice;
-                   for i = s * nb / shards to (((s + 1) * nb) / shards) - 1 do
-                     let u = broadcasters.(i) in
-                     Graph.iter_neighbors (fun v -> Bitset.acc2_add ~once ~twice v) g u;
-                     if Dual.gray_degree dual u > 0 then
-                       Dual.iter_gray_adj
-                         (fun v e ->
-                           if Bitset.mem gray_active e then Bitset.acc2_add ~once ~twice v)
-                         dual u
-                   done)
-                 shards;
-               Bitset.clear k_once;
-               Bitset.clear k_twice;
-               for s = 0 to shards - 1 do
-                 Bitset.acc2_merge_into ~once:k_once ~twice:k_twice
-                   ~src_once:shard_once.(s) ~src_twice:shard_twice.(s)
-               done;
-               (* second sweep as in the dense kernel, but walking CSR
-                  rows instead of bitset rows — the sharded path never
-                  materialises the O(n^2)-bit row cache, which is what
-                  lets it run at million-node sizes *)
-               if kernel_classify () then
-                 Array.iter
-                   (fun u ->
-                     let m = sent u in
-                     Graph.iter_neighbors
-                       (fun v -> if Bitset.mem k_recv v then receives.(v) <- Recv m)
-                       g u;
-                     if Dual.gray_degree dual u > 0 then
-                       Dual.iter_gray_adj
-                         (fun v e ->
-                           if Bitset.mem gray_active e && Bitset.mem k_recv v then
-                             receives.(v) <- Recv m)
-                         dual u)
-                   broadcasters
-             end
-             else if use_kernel then begin
+             if use_kernel then begin
                let rows = Graph.adj_rows g in
                let ng = Dual.gray_count dual in
                let gmask = if ng > 0 then Dual.gray_masks dual else [||] in

@@ -75,17 +75,12 @@ module Make (M : MESSAGE) : sig
             reach exceeds the kernel's word-sweep cost); [`On] forces
             the kernel whenever legal, [`Off] never uses it.  An
             attached [sink] always forces the scalar path.  The choice
-            is pure evaluation strategy — results are identical. *)
-    shards : int;
-        (** intra-run delivery sharding (≥ 1).  With [shards > 1] and
-            the kernel not [`Off] (and no [sink]), each broadcasting
-            round partitions the sorted broadcaster array into [shards]
-            contiguous slices, scatters every slice's reach into a
-            private once/twice accumulator pair on an {!Rn_util.Pool}
-            domain, and merges the pairs in fixed shard order.  The
-            accumulator pair is a pure function of the contribution
-            multiset, so results are byte-identical at any shard count
-            — pure evaluation strategy, like [kernel]. *)
+            is pure evaluation strategy — results are identical.  The
+            kernel ORs per-node adjacency rows, so its first round
+            materialises the graph's row cache: n² bits (128 MiB at
+            n = 32768), which makes [`On] impractical at very large n
+            ([`Auto] builds it only once a round is dense enough for
+            the kernel).  Delivery always runs on the calling domain. *)
     adv_kernel : [ `Auto | `On | `Off ];
         (** word-parallel adversary kernel for the deterministic
             policies ({!Adversary.all_gray}, {!Adversary.spiteful},
@@ -95,9 +90,9 @@ module Make (M : MESSAGE) : sig
             forces the kernel whenever the policy has one; [`Off] never
             uses it.  An attached [sink] forces the scalar path, and
             randomised policies always run scalar (their draw sequence
-            is the semantics).  Shares [shards] and the Pool with
-            delivery.  Pure evaluation strategy — byte-identical results
-            at any setting. *)
+            is the semantics).  Runs on the calling domain.  Pure
+            evaluation strategy — byte-identical results at any
+            setting. *)
     resume_shards : int;
         (** resume-phase sharding (≥ 1).  With [resume_shards > 1] (and
             no [sink]), each round in which at least 1024 fibers await
@@ -117,14 +112,18 @@ module Make (M : MESSAGE) : sig
             idle heap, and every downstream adversary and delivery
             decision are byte-identical at any shard count.  An attached
             [sink] forces the scalar step (Decide events must be emitted
-            in step order).  Pure evaluation strategy, like [kernel] and
-            [shards]. *)
+            in step order).  Pure evaluation strategy, like [kernel]. *)
   }
 
   (** Build a config with sensible defaults: silent adversary, seed 0,
       [delta_bound] defaulting to the true max degree of [G], synchronous
       wake-up, stop at [All_done], 2M-round safety cap, no tracing, both
-      kernels [`Auto], one delivery shard and one resume shard. *)
+      kernels [`Auto] and one resume shard.
+
+      [?shards] is accepted and ignored; no code in the library reads it.
+      It remains only because the benchmark harness
+      ([perfbench/strategy.ml], [perfbench/beacon.ml]) passes it, and it
+      goes away with the next revision of that harness. *)
   val config :
     ?adversary:Adversary.t ->
     ?seed:int ->

@@ -6,7 +6,7 @@
 
    The words live in an off-heap [Bigarray] rather than an OCaml [int
    array]: at million-node scale the engine holds thousands of row masks
-   and per-shard accumulators, and keeping them out of the scanned heap
+   and kernel accumulators, and keeping them out of the scanned heap
    means the GC never walks them and [Gc.compact] never copies them.  The
    [int] Bigarray kind stores native OCaml ints, so every word still
    carries [Sys.int_size] (= 63 on 64-bit) usable bits and all the SWAR
@@ -173,27 +173,6 @@ let acc2_add ~once ~twice i =
   let w = i / bits_per_word and b = 1 lsl (i mod bits_per_word) in
   twice.words.{w} <- twice.words.{w} lor (once.words.{w} land b);
   once.words.{w} <- once.words.{w} lor b
-
-(* Merge one (once, twice) accumulator pair into another.  Because the
-   pair is a pure function of the *multiset* of contributions fed to it,
-   splitting the contributions across several private pairs and merging
-   them — in any order — yields exactly the single-pair result:
-   an element is in the merged [twice] iff it was reached twice within
-   one shard, or at least once in each of two shards. *)
-let acc2_merge_into ~once ~twice ~src_once ~src_twice =
-  if
-    once.capacity <> src_once.capacity
-    || twice.capacity <> src_twice.capacity
-    || once.capacity <> twice.capacity
-  then invalid_arg "Bitset.acc2_merge_into";
-  for w = 0 to Bigarray.Array1.dim once.words - 1 do
-    let o = Bigarray.Array1.unsafe_get once.words w in
-    let so = Bigarray.Array1.unsafe_get src_once.words w in
-    let st = Bigarray.Array1.unsafe_get src_twice.words w in
-    Bigarray.Array1.unsafe_set twice.words w
-      (Bigarray.Array1.unsafe_get twice.words w lor st lor (o land so));
-    Bigarray.Array1.unsafe_set once.words w (o lor so)
-  done
 
 (* Word-level view for kernels: [word_count] words of [bits_per_word]
    bits each; [get_word]/[set_word] read and write them directly.  Bits

@@ -1,7 +1,7 @@
 (** Dense mutable bitsets over [0, capacity).
 
     The word storage is an off-heap [Bigarray] of native ints: the GC
-    never scans or moves it, so large row caches and per-shard kernel
+    never scans or moves it, so large row caches and kernel
     accumulators cost nothing at collection time.  Each word still holds
     [bits_per_word] (= [Sys.int_size]) usable bits. *)
 
@@ -53,15 +53,6 @@ val acc2_or_into : once:t -> twice:t -> t -> unit
 (** Single-element version of {!acc2_or_into} (for gray-edge senders
     that contribute one receiver at a time). *)
 val acc2_add : once:t -> twice:t -> int -> unit
-
-(** [acc2_merge_into ~once ~twice ~src_once ~src_twice] folds one
-    accumulator pair into another: afterwards [(once, twice)] describes
-    the union of the two contribution multisets.  Because the pair is a
-    pure function of the contribution multiset, feeding disjoint shards
-    into private pairs and merging them — in any order — is byte-identical
-    to a single sequential pass; this is what makes intra-run sharding
-    deterministic. *)
-val acc2_merge_into : once:t -> twice:t -> src_once:t -> src_twice:t -> unit
 
 (** Word-level view for kernels: the set is [word_count] words of
     [bits_per_word] bits.  [set_word] masks off bits at index

@@ -33,8 +33,8 @@ val create : jobs:int -> t
 val size : t -> int
 
 (** [run_n t f n] applies [f] to every index [0 .. n-1] on [t]'s workers
-    and blocks until the batch completes: the engine's sharded phases
-    hand it one pinned contiguous slice per index.  The first worker
+    and blocks until the batch completes: the engine's sharded resume
+    phase hands it one pinned contiguous slice per index.  The first worker
     exception is re-raised with its backtrace (tasks not yet started are
     abandoned); the batch-completion mutex gives the caller a
     happens-before edge over every write the workers made.  [n = 1] runs

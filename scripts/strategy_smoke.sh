@@ -1,15 +1,16 @@
 #!/bin/sh
 # Strategy-equivalence smoke: the CI-facing proof that every evaluation
 # strategy of the round engine is pure — the delivery kernel
-# (--kernel), the adversary kernel (--adv-kernel), delivery sharding
-# (--shards) and resume-loop sharding (--resume-shards).
+# (--kernel), the adversary kernel (--adv-kernel) and resume-loop
+# sharding (--resume-shards).
 #
 #   scripts/strategy_smoke.sh [SIZES]
 #
 # Runs the S1 beacon scenario in --check mode (deterministic columns
 # only: world shape and send/delivery/collision counts, no timings) for
 # each adversary policy, once down the all-scalar path (--kernel off
-# --adv-kernel off, one shard) and once per strategy setting below.
+# --adv-kernel off, one resume shard) and once per strategy setting
+# below.
 # Every table must be byte-identical to the policy's all-scalar one.
 #
 # The beacon workload syncs every fiber every round, so at n >= 1024
@@ -45,16 +46,15 @@ check() { # check ADVERSARY SETTING... : each SETTING's table = all-scalar
 }
 
 check bernoulli:0.5 \
-  "--shards 1" "--shards 2" "--shards 4" "--kernel on --shards 4" \
+  "--kernel on" "--kernel auto" \
   "--resume-shards 2 --kernel on" "--resume-shards 4 --kernel on" \
   "--resume-shards 2 --kernel off" "--resume-shards 4 --kernel off" \
-  "--resume-shards 4 --shards 4" "--adv-kernel on --shards 2"
+  "--adv-kernel on"
 
 for adv in spiteful jamming all; do
   check "$adv" \
-    "--adv-kernel on --shards 1" "--adv-kernel on --shards 2" "--adv-kernel on --shards 4" \
-    "--adv-kernel auto --shards 1" "--adv-kernel auto --shards 2" \
-    "--adv-kernel auto --shards 4" "--adv-kernel on --resume-shards 4 --shards 4"
+    "--adv-kernel on" "--adv-kernel auto" "--adv-kernel on --kernel on" \
+    "--adv-kernel on --resume-shards 4"
 done
 
-echo "strategy_smoke: OK (sizes=$sizes: kernel/adv-kernel/shards/resume-shards = all-scalar)"
+echo "strategy_smoke: OK (sizes=$sizes: kernel/adv-kernel/resume-shards = all-scalar)"

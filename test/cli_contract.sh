@@ -44,8 +44,27 @@ expect 2 trace inspect "$tmp/bad.jsonl"
 [ "$(wc -l < "$tmp/err")" -eq 1 ] && grep -q "bad.jsonl" "$tmp/err" \
   || fail "trace inspect: want one stderr line naming the file"
 
-# The removed resume gate switch is an ordinary unknown option (spelled
-# in two parts so a search for the removed name finds only its history).
+# World sizes too small to build are rejected while parsing (cmdliner
+# reports a bad option value with its usage code, 124), on every
+# subcommand that builds a world.
+for sub in mis ccds broadcast repair "trace run"; do
+  for bad in "-n 0" "-n 1" "--degree 0"; do
+    # shellcheck disable=SC2086 # word splitting is the point
+    expect 124 $sub $bad
+  done
+done
+
+# An output directory that cannot be created gets one line naming it.
+expect 2 figures --out "$tmp/missing/parent/dir"
+[ "$(wc -l < "$tmp/err")" -eq 1 ] && grep -q "missing/parent/dir" "$tmp/err" \
+  || fail "figures --out: want one stderr line naming the directory"
+
+# An unknown experiment is a usage error here too.
+expect 2 trace cell NOPE 'n=1'
+
+# Removed switches are ordinary unknown options (spelled in two parts so
+# a search for a removed name finds only its history).
 expect 124 scale --resume-"kernel" on
+expect 124 scale --"shards" 2
 
 [ "$failed" -eq 0 ] || exit 1

@@ -1,11 +1,10 @@
 (* Shared scaffolding for the engine-equivalence suites
-   (test_engine_equiv, test_adversary_kernel, test_shard,
-   test_resume_shard): one scenario generator, one scripted body and one
-   strategy property.
+   (test_engine_equiv, test_adversary_kernel, test_resume_shard): one
+   scenario generator, one scripted body and one strategy property.
 
    [Engine.run_reference] is the oracle for the round semantics.  Every
-   evaluation strategy — the delivery kernel, the adversary kernel,
-   delivery shards and resume shards — must reproduce it exactly, so
+   evaluation strategy — the delivery kernel, the adversary kernel and
+   resume shards — must reproduce it exactly, so
    [prop_strategy] draws a strategy record per case and checks
    strategy run = all-scalar run = [run_reference].  The suites
    instantiate it with the strategy family they certify.  A sparse
@@ -147,39 +146,34 @@ let pp_scenario s =
 type strategy = {
   kernel : [ `Auto | `On | `Off ];
   adv_kernel : [ `Auto | `On | `Off ];
-  shards : int;
   resume_shards : int;
 }
 
 (* [Engine.config]'s defaults *)
-let auto = { kernel = `Auto; adv_kernel = `Auto; shards = 1; resume_shards = 1 }
-let all_scalar = { kernel = `Off; adv_kernel = `Off; shards = 1; resume_shards = 1 }
+let auto = { kernel = `Auto; adv_kernel = `Auto; resume_shards = 1 }
+let all_scalar = { kernel = `Off; adv_kernel = `Off; resume_shards = 1 }
 
 let pp_strategy st =
   let mode = function `Auto -> "auto" | `On -> "on" | `Off -> "off" in
-  Printf.sprintf "kernel=%s adv_kernel=%s shards=%d resume_shards=%d" (mode st.kernel)
-    (mode st.adv_kernel) st.shards st.resume_shards
+  Printf.sprintf "kernel=%s adv_kernel=%s resume_shards=%d" (mode st.kernel)
+    (mode st.adv_kernel) st.resume_shards
 
 let modes = [ `Auto; `On; `Off ]
 
-(* A strategy family: each field drawn from its list.  More shards than
-   broadcasters or live fibers is legal (empty slices) and must still be
-   exact, so shard counts run past small n on purpose. *)
-let arb_strategy ?(kernel = modes) ?(adv_kernel = modes) ?(shards = [ 1; 2; 3; 4; 5 ])
-    ?(resume_shards = [ 1; 2; 4 ]) () =
+(* A strategy family: each field drawn from its list. *)
+let arb_strategy ?(kernel = modes) ?(adv_kernel = modes) ?(resume_shards = [ 1; 2; 4 ]) () =
   QCheck.make ~print:pp_strategy
     QCheck.Gen.(
-      map4
-        (fun kernel adv_kernel shards resume_shards ->
-          { kernel; adv_kernel; shards; resume_shards })
-        (oneofl kernel) (oneofl adv_kernel) (oneofl shards) (oneofl resume_shards))
+      map3
+        (fun kernel adv_kernel resume_shards -> { kernel; adv_kernel; resume_shards })
+        (oneofl kernel) (oneofl adv_kernel) (oneofl resume_shards))
 
 let detector_of dual = Detector.static (Detector.perfect (Dual.g dual))
 
 let config_of ?sink ?(st = auto) s =
   E.config ~adversary:s.adv ~seed:s.seed ?wake:s.wake ~stop:s.stop ~max_rounds:s.max_rounds
-    ?sink ~kernel:st.kernel ~adv_kernel:st.adv_kernel ~shards:st.shards
-    ~resume_shards:st.resume_shards ~detector:(detector_of s.dual) s.dual
+    ?sink ~kernel:st.kernel ~adv_kernel:st.adv_kernel ~resume_shards:st.resume_shards
+    ~detector:(detector_of s.dual) s.dual
 
 (* [listen ~upto:k] spelled out as the silent syncs it stands for:
    stop after the first [Recv]. *)
@@ -246,8 +240,8 @@ let with_metrics f =
 (* The real algorithm bodies, through the shared Radio instantiation. *)
 let radio_config ?(st = auto) s ~stop =
   R.config ~adversary:s.adv ~seed:s.seed ~stop ~max_rounds:s.max_rounds ~kernel:st.kernel
-    ~adv_kernel:st.adv_kernel ~shards:st.shards ~resume_shards:st.resume_shards
-    ~detector:(detector_of s.dual) s.dual
+    ~adv_kernel:st.adv_kernel ~resume_shards:st.resume_shards ~detector:(detector_of s.dual)
+    s.dual
 
 let mis_body ctx = Core.Mis.body Core.Params.default ctx
 let mis_stop s = R.At_round (Core.Mis.schedule_rounds Core.Params.default ~n:(Dual.n s.dual))
@@ -285,13 +279,12 @@ let prop_strategy ?(circulant_every = 16) ~name ~count arb =
 
 (* Moderate-scale pin: a circulant graph at n=512 has every node at
    degree 64 — kernel rounds throughout — with enough words per row to
-   catch top-word masking and word-indexing slips; 3 delivery shards do
-   not divide the broadcaster count, so slices are uneven. *)
+   catch top-word masking and word-indexing slips. *)
 let circulant512_beacon st =
   let dual = circulant ~n:512 ~rel_k:32 ~gray_k:0 in
   let cfg =
     E.config ~adversary:(Adversary.bernoulli 0.5) ~seed:11 ~stop:(Rn_sim.Engine.At_round 30)
-      ~kernel:st.kernel ~shards:st.shards ~detector:(detector_of dual) dual
+      ~kernel:st.kernel ~detector:(detector_of dual) dual
   in
   E.run cfg (fun ctx ->
       let heard = ref 0 in

@@ -1,6 +1,6 @@
 (* The adversary kernel: [Adversary.choose_kernel] must pick exactly the
    gray edges [Adversary.choose] picks, at the API (random duals and
-   broadcaster sets, shards 1/2/4, scratch reuse, word-boundary pins) and
+   broadcaster sets, scratch reuse, word-boundary pins) and
    through whole engine runs against [Engine.run_reference]. *)
 
 open Equiv
@@ -16,10 +16,10 @@ let random_broadcasters rng n =
   done;
   Array.of_list !l
 
-(* Random duals x random broadcaster sets at shards 1/2/4, many
-   consecutive rounds against one scratch, so stale scratch state shows. *)
+(* Random duals x random broadcaster sets, many consecutive rounds
+   against one scratch, so stale scratch state shows. *)
 let prop_choose_equiv =
-  QCheck.Test.make ~name:"choose_kernel = choose (shards 1/2/4, scratch reuse)" ~count:120
+  QCheck.Test.make ~name:"choose_kernel = choose (scratch reuse)" ~count:120
     QCheck.(small_nat)
     (fun case ->
       let rng = Rng.create (0xADF0 + case) in
@@ -27,9 +27,7 @@ let prop_choose_equiv =
       let rel_w = 1 + Rng.int rng 4 and gray_w = 1 + Rng.int rng 5 in
       let dual = build_dual ~n ~rel_w ~gray_w (Rng.bits rng) in
       let ng = max 1 (Dual.gray_count dual) in
-      let scratches =
-        List.map (fun s -> (s, Adversary.make_scratch ~shards:s dual)) [ 1; 2; 4 ]
-      in
+      let scratch = Adversary.make_scratch dual in
       let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
       for round = 1 to 12 do
         let broadcasters = random_broadcasters rng n in
@@ -38,16 +36,12 @@ let prop_choose_equiv =
             let scalar = Bitset.create ng in
             Adversary.choose adv ~round ~broadcasters dual (Rng.derive adv_root round)
               scalar;
-            List.iter
-              (fun (s, scratch) ->
-                let masked = Bitset.create ng in
-                Adversary.choose_kernel adv ~round ~broadcasters dual
-                  (Rng.derive adv_root round) scratch masked;
-                if not (Bitset.equal scalar masked) then
-                  QCheck.Test.fail_reportf
-                    "%s: kernel <> scalar at n=%d round=%d shards=%d (#bcast=%d)" pname n
-                    round s (Array.length broadcasters))
-              scratches)
+            let masked = Bitset.create ng in
+            Adversary.choose_kernel adv ~round ~broadcasters dual (Rng.derive adv_root round)
+              scratch masked;
+            if not (Bitset.equal scalar masked) then
+              QCheck.Test.fail_reportf "%s: kernel <> scalar at n=%d round=%d (#bcast=%d)"
+                pname n round (Array.length broadcasters))
           kernel_policies
       done;
       true)
@@ -79,7 +73,7 @@ let test_circulant_pin () =
   let n = 600 in
   let dual = circulant ~n ~rel_k:4 ~gray_k:20 in
   let ng = Dual.gray_count dual in
-  let scratch = Adversary.make_scratch ~shards:3 dual in
+  let scratch = Adversary.make_scratch dual in
   let everyone = Array.init n Fun.id in
   let rng = Rng.create 3 in
   Array.iter
@@ -98,8 +92,7 @@ let test_circulant_pin () =
 (* --- whole runs --------------------------------------------------------- *)
 
 let prop_engine_equiv =
-  prop_strategy ~name:"adv_kernel `On/`Off/`Auto x shards 1/2/4 = reference" ~count:100
-    (arb_strategy ~shards:[ 1; 2; 4 ] ())
+  prop_strategy ~name:"adv_kernel `On/`Off/`Auto = reference" ~count:100 (arb_strategy ())
 
 (* A sink forces the scalar delivery, adversary and resume paths; forcing
    must not change a single result. *)
@@ -108,7 +101,7 @@ let prop_traced_equiv =
     QCheck.(small_nat)
     (fun case ->
       let s = scenario_of ~max_wake:8 ~max_rounds:5_000 case in
-      let st = { auto with adv_kernel = `On; shards = 2 } in
+      let st = { auto with adv_kernel = `On } in
       let plain = E.run (config_of ~st s) strategy_body in
       let sink = Events.create ~capacity:(1 lsl 12) () in
       let traced = E.run (config_of ~sink ~st s) strategy_body in

@@ -225,10 +225,6 @@ let check_listen ~name cfg body =
         true
         (E.run { cfg with E.kernel } body = fast))
     [ `On; `Off ];
-  Alcotest.(check bool)
-    (name ^ ": sharded path")
-    true
-    (E.run { cfg with E.shards = 2 } body = fast);
   (fast, snap)
 
 (* Fiber 1 listens for 3 rounds; fiber 0 idles 2 and broadcasts in round
